@@ -12,7 +12,7 @@ Run:
 """
 
 from repro.experiments import Scenario, table2_config
-from repro.experiments.sweeps import PAPER_PROTOCOLS
+from repro.experiments.engine import PAPER_PROTOCOLS
 
 
 def main() -> None:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from itertools import repeat as _repeat
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from .errors import EventStateError
 
@@ -170,43 +169,6 @@ class EventQueue:
             self._heap, (time, priority, next(self._seq), None, callback, args)
         )
         self._live += 1
-
-    def push_bulk(
-        self,
-        times: Sequence[float],
-        callbacks: Sequence[Callable[..., Any]],
-        args: Sequence[Tuple[Any, ...]],
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
-        """Schedule a batch of non-cancellable callbacks in one pass.
-
-        Exactly equivalent to ``push_plain(times[i], callbacks[i], args[i],
-        priority)`` for each ``i`` in order: sequence numbers are assigned
-        in batch order (one ``zip`` pass pulls them straight off the shared
-        counter), so the pop order — the total order on ``(time, priority,
-        seq)`` — is bit-identical to the scalar loop no matter how the heap
-        insertions are arranged.  The batch is then sorted ascending before
-        insertion, which keeps the per-entry sift-up short and touches the
-        heap once per entry with no Python call frame per event on the
-        caller's side.
-
-        ``times`` must be plain Python floats (e.g. via ``ndarray.tolist()``):
-        heap entry times surface as ``Simulator.now``, and a leaked NumPy
-        scalar would slow every downstream float op and break JSON export.
-
-        This is the channel's broadcast fan-out primitive: one call
-        schedules every arrival of a transmission.
-        """
-        heap = self._heap
-        # zip stops at the shortest input — times first, so exactly
-        # len(times) sequence numbers are consumed, in batch order.
-        entries = sorted(
-            zip(times, _repeat(priority), self._seq, _repeat(None), callbacks, args)
-        )
-        push = heapq.heappush
-        for entry in entries:
-            push(heap, entry)
-        self._live += len(entries)
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest pending event, or None if empty.

@@ -53,12 +53,6 @@ class Simulator:
         #: already known to be >= ``now`` and who never cancel; everything
         #: else should keep using :meth:`schedule` / :meth:`schedule_at`.
         self.push_at = self._queue.push_plain
-        #: Bound batch scheduler: ``push_bulk(times, callbacks, args,
-        #: priority)`` — one call heap-pushes a whole pre-built batch of
-        #: non-cancellable entries (see :meth:`EventQueue.push_bulk`).
-        #: Sequence numbers are assigned in batch order, so the pop order
-        #: is bit-identical to an equivalent loop of ``push_at`` calls.
-        self.push_bulk = self._queue.push_bulk
         self._running = False
         self._stopped = False
         self.events_processed = 0

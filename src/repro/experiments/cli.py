@@ -124,25 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(A/B profiling; results are bit-identical either way)",
     )
     parser.add_argument(
-        "--no-inreach-delta",
-        action="store_true",
-        help="scale target: disable the symmetric in-reach delta bound "
-        "(A/B profiling; results are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--no-bulk-schedule",
-        action="store_true",
-        help="scale target: disable the batched broadcast fan-out through "
-        "the DES core's push_bulk (A/B profiling; results are "
-        "bit-identical either way)",
-    )
-    parser.add_argument(
         "--ab-check",
         action="store_true",
-        help="scale target: before sweeping, run the smallest cell with "
-        "the grid/delta/in-reach/bulk-schedule mechanisms on and off and "
-        "fail unless every figure metric is bit-identical (the CI "
-        "equivalence gate)",
+        help="scale target: before sweeping, run the smallest cell on the "
+        "default geometry stack and on the scalar reference path "
+        "(link_cache=False) and fail unless every figure metric is "
+        "bit-identical (the CI equivalence gate)",
     )
     parser.add_argument(
         "--verbose", action="store_true", help="print per-run progress"
@@ -385,8 +372,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             progress=progress,
             spatial_grid=not args.no_spatial_grid,
             delta_epochs=not args.no_delta_epochs,
-            inreach_delta=not args.no_inreach_delta,
-            bulk_schedule=not args.no_bulk_schedule,
         )
         print(format_figure(data))
         if args.csv:

@@ -69,17 +69,6 @@ class ScenarioConfig:
     #: brought it back inside delivery reach.  Bit-identical either way;
     #: disable only for A/B profiling.  No effect when ``link_cache`` is off.
     delta_epochs: bool = True
-    #: The symmetric in-reach delta bound: a stale pair cached farther
-    #: *inside* a mask boundary than its accumulated displacement keeps its
-    #: masks without recompute, and its delay/level recompute is deferred
-    #: to the next broadcast fan-out build.  Bit-identical either way;
-    #: disable only for A/B profiling.  No effect when ``link_cache`` is off.
-    inreach_delta: bool = True
-    #: Schedule each broadcast's arrivals as one pre-sorted batch through
-    #: the DES core's ``push_bulk`` instead of one heap push per receiver.
-    #: Bit-identical either way (sequence numbers are assigned in the same
-    #: order); disable only for A/B profiling.
-    bulk_schedule: bool = True
     #: Recycle Arrival objects through a channel-owned free-list instead of
     #: allocating one per delivery (the top allocation site after events).
     #: Safe here because the MAC layer never retains arrivals past the

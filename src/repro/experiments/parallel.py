@@ -3,7 +3,7 @@
 A figure sweep is a grid of (x, protocol, seed) cells, each an independent
 deterministic simulation — exactly the embarrassingly-parallel shape a
 process pool wants.  :class:`ParallelSweepRunner` expands a
-:class:`~repro.experiments.sweeps.SweepSpec` into picklable
+:class:`~repro.experiments.engine.SweepSpec` into picklable
 :class:`SweepCell` work items **in the parent** (so the spec's closures
 never cross a process boundary), fans the items over a spawn-safe worker
 pool, and reassembles results in the exact order the serial loop would
@@ -56,7 +56,7 @@ from .config import ScenarioConfig
 from .scenario import Scenario, ScenarioResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
-    from .sweeps import GridResults, SweepSpec
+    from .engine import GridResults, SweepSpec
 
 Progress = Optional[Callable[[str], None]]
 

@@ -61,8 +61,6 @@ def scale_config(
     mobility: bool = True,
     spatial_grid: bool = True,
     delta_epochs: bool = True,
-    inreach_delta: bool = True,
-    bulk_schedule: bool = True,
 ):
     """One scale-sweep cell config: tiled columns at the Table 2 density."""
     return table2_config(
@@ -76,8 +74,6 @@ def scale_config(
         seed=seed,
         spatial_grid=spatial_grid,
         delta_epochs=delta_epochs,
-        inreach_delta=inreach_delta,
-        bulk_schedule=bulk_schedule,
     )
 
 
@@ -89,11 +85,12 @@ def ab_check(
     mobility: bool = True,
     progress: Progress = None,
 ) -> None:
-    """Online equivalence gate: all culls on vs off must be bit-identical.
+    """Online equivalence gate: the default cell must match the scalar path.
 
-    Runs one cell twice — spatial grid, delta-epochs, the in-reach delta
-    bound and the bulk-schedule fan-out all enabled, then all disabled —
-    and compares the canonical JSON of every figure metric
+    Runs one cell twice — on the default geometry stack (link cache,
+    vector kernel, spatial grid, delta epochs), then on the scalar
+    reference path (``link_cache=False``) the equivalence tests compare
+    against — and compares the canonical JSON of every figure metric
     (``result.to_dict()``, which excludes perf counters).  Raises
     AssertionError on any divergence; the CI scale-smoke job runs this so
     an equivalence break is caught on every push, not only when the full
@@ -102,32 +99,18 @@ def ab_check(
     base = scale_config(
         n_sensors, sim_time_s, seed=seed, protocol=protocol, mobility=mobility
     )
-    culled = run_scenario(
-        base.with_(
-            spatial_grid=True,
-            delta_epochs=True,
-            inreach_delta=True,
-            bulk_schedule=True,
-        )
-    )
-    full = run_scenario(
-        base.with_(
-            spatial_grid=False,
-            delta_epochs=False,
-            inreach_delta=False,
-            bulk_schedule=False,
-        )
-    )
-    flat_culled = json.dumps(culled.to_dict(), sort_keys=True)
-    flat_full = json.dumps(full.to_dict(), sort_keys=True)
-    if flat_culled != flat_full:
+    stack = run_scenario(base)
+    scalar = run_scenario(base.with_(link_cache=False))
+    flat_stack = json.dumps(stack.to_dict(), sort_keys=True)
+    flat_scalar = json.dumps(scalar.to_dict(), sort_keys=True)
+    if flat_stack != flat_scalar:
         raise AssertionError(
-            f"scale A/B check failed at n={n_sensors}: grid/delta/bulk run "
-            "diverged from the scalar full-scan run"
+            f"scale A/B check failed at n={n_sensors}: the default run "
+            "diverged from the scalar link_cache=False run"
         )
     if progress is not None:
         progress(
-            f"A/B check n={n_sensors}: grid+delta+inreach+bulk on == off "
+            f"A/B check n={n_sensors}: default == link_cache=False "
             "(bit-identical)"
         )
 
@@ -140,8 +123,6 @@ def scale(
     mobility: bool = True,
     spatial_grid: bool = True,
     delta_epochs: bool = True,
-    inreach_delta: bool = True,
-    bulk_schedule: bool = True,
 ) -> FigureData:
     """Run the scale sweep and return perf series keyed by counter name.
 
@@ -152,8 +133,7 @@ def scale(
     the grid is off).  Only the first seed is used — replication averages
     wall-clock noise into the signal instead of out of it, and the
     determinism suite already pins the metrics.  ``spatial_grid`` /
-    ``delta_epochs`` / ``inreach_delta`` / ``bulk_schedule`` expose the
-    culls and the batched fan-out for A/B scaling comparisons.
+    ``delta_epochs`` expose the culls for A/B scaling comparisons.
     """
     nodes = QUICK_NODES if quick else SCALE_NODES
     sim_time_s = 8.0 if quick else 30.0
@@ -171,8 +151,6 @@ def scale(
             mobility=mobility,
             spatial_grid=spatial_grid,
             delta_epochs=delta_epochs,
-            inreach_delta=inreach_delta,
-            bulk_schedule=bulk_schedule,
         )
         start = time.perf_counter()
         result = run_scenario(config)

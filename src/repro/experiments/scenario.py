@@ -173,8 +173,6 @@ class Scenario:
             use_link_cache=config.link_cache,
             use_spatial_grid=config.spatial_grid,
             use_delta_epochs=config.delta_epochs,
-            use_inreach_delta=config.inreach_delta,
-            use_bulk_schedule=config.bulk_schedule,
             pool_arrivals=config.arrival_pool,
             arrival_pool_cap=config.arrival_pool_cap,
         )

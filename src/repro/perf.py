@@ -13,17 +13,25 @@ taken after a run finishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .des.simulator import Simulator
     from .phy.channel import ChannelStats
 
+#: Field metadata marking a gauge: merged across runs by max, not sum.
+_GAUGE = {"gauge": True}
+
 
 @dataclass(frozen=True)
 class PerfReport:
     """Counter snapshot of one finished simulation run.
+
+    The field list is the schema: :meth:`capture`, :meth:`to_dict` and
+    :class:`PerfAccumulator` all derive from it, so a new counter is one
+    new field (plus a :class:`~repro.phy.channel.ChannelStats` field of
+    the same name for :meth:`capture` to read).
 
     Attributes:
         sim_time_s: Simulated seconds covered by the run.
@@ -42,11 +50,6 @@ class PerfReport:
             equals ``broadcasts * (n - 1)`` with the grid disabled).
         rows_skipped_delta: Stale pair recomputes skipped by the
             movement-bounded delta-epoch test.
-        rows_skipped_inreach: Stale pair recomputes skipped (or deferred)
-            by the symmetric in-reach delta bound.
-        bulk_pushes: Batched fan-out calls into the DES core's
-            ``push_bulk`` (one per broadcast on the bulk path).
-        bulk_events: Arrival events scheduled through those batches.
         grid_cells: Occupied spatial-hash cells at capture time (gauge;
             accumulated via max, not sum).
         checkpoints_taken: Cooperative checkpoints taken during the run
@@ -67,10 +70,7 @@ class PerfReport:
     rows_refreshed: int = 0
     grid_candidates: int = 0
     rows_skipped_delta: int = 0
-    grid_cells: int = 0
-    rows_skipped_inreach: int = 0
-    bulk_pushes: int = 0
-    bulk_events: int = 0
+    grid_cells: int = field(default=0, metadata=_GAUGE)
     checkpoints_taken: int = 0
     resumes: int = 0
 
@@ -104,54 +104,31 @@ class PerfReport:
         checkpoints_taken: int = 0,
         resumes: int = 0,
     ) -> "PerfReport":
-        """Snapshot kernel + channel counters after a run."""
+        """Snapshot kernel + channel counters after a run.
+
+        Every field named like a :class:`ChannelStats` counter is read
+        from ``channel_stats``; the rest come from the kernel and the
+        arguments.
+        """
+        channel = vars(channel_stats)
         return cls(
-            checkpoints_taken=checkpoints_taken,
-            resumes=resumes,
             sim_time_s=sim_time_s,
             wall_time_s=sim.wall_time_s,
             events=sim.events_processed,
-            broadcasts=channel_stats.broadcasts,
-            deliveries=channel_stats.deliveries,
-            out_of_range_skips=channel_stats.out_of_range_skips,
-            cache_hits=channel_stats.cache_hits,
-            cache_misses=channel_stats.cache_misses,
-            vector_batches=channel_stats.vector_batches,
-            rows_refreshed=channel_stats.rows_refreshed,
-            grid_candidates=channel_stats.grid_candidates,
-            rows_skipped_delta=channel_stats.rows_skipped_delta,
-            grid_cells=channel_stats.grid_cells,
-            rows_skipped_inreach=channel_stats.rows_skipped_inreach,
-            bulk_pushes=channel_stats.bulk_pushes,
-            bulk_events=channel_stats.bulk_events,
+            checkpoints_taken=checkpoints_taken,
+            resumes=resumes,
+            **{f.name: channel[f.name] for f in fields(cls) if f.name in channel},
         )
 
     def to_dict(self) -> Dict[str, float]:
-        """Flat JSON-friendly form (benchmark exports, CI artifacts)."""
-        return {
-            "sim_time_s": self.sim_time_s,
-            "wall_time_s": self.wall_time_s,
-            "events": self.events,
-            "events_per_second": self.events_per_second,
-            "broadcasts": self.broadcasts,
-            "broadcasts_per_second": self.broadcasts_per_second,
-            "deliveries": self.deliveries,
-            "out_of_range_skips": self.out_of_range_skips,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "vector_batches": self.vector_batches,
-            "rows_refreshed": self.rows_refreshed,
-            "grid_candidates": self.grid_candidates,
-            "rows_skipped_delta": self.rows_skipped_delta,
-            "rows_skipped_inreach": self.rows_skipped_inreach,
-            "bulk_pushes": self.bulk_pushes,
-            "bulk_events": self.bulk_events,
-            "grid_cells": self.grid_cells,
-            "checkpoints_taken": self.checkpoints_taken,
-            "resumes": self.resumes,
-            "speedup_factor": self.speedup_factor,
-        }
+        """Flat JSON-friendly form (benchmark exports, CI artifacts):
+        every field plus the derived rates."""
+        data: Dict[str, float] = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["events_per_second"] = self.events_per_second
+        data["broadcasts_per_second"] = self.broadcasts_per_second
+        data["cache_hit_rate"] = self.cache_hit_rate
+        data["speedup_factor"] = self.speedup_factor
+        return data
 
     def summary_lines(self) -> List[str]:
         """Human-readable summary (printed by ``--profile``)."""
@@ -169,12 +146,7 @@ class PerfReport:
             f"spatial grid: {self.grid_cells:,} cells, "
             f"{self.grid_candidates / self.broadcasts if self.broadcasts else 0.0:,.1f} "
             f"mean candidates/broadcast, "
-            f"{self.rows_skipped_delta:,} delta-epoch skips, "
-            f"{self.rows_skipped_inreach:,} in-reach skips",
-            f"bulk schedule: {self.bulk_pushes:,} pushes, "
-            f"{self.bulk_events:,} events "
-            f"({self.bulk_events / self.bulk_pushes if self.bulk_pushes else 0.0:,.1f} "
-            f"per push)",
+            f"{self.rows_skipped_delta:,} delta-epoch skips",
             f"fault tolerance: {self.checkpoints_taken:,} checkpoints taken, "
             f"{self.resumes:,} resumes",
         ]
@@ -184,8 +156,9 @@ class PerfReport:
 class PerfAccumulator:
     """Merge :class:`PerfReport` snapshots across sweep cells.
 
-    Wall times and counters add; rates are recomputed from the totals, so
-    the merged report reads like one long run.
+    Wall times and counters add, gauges keep their peak; rates are
+    recomputed from the totals, so the merged report reads like one long
+    run.
     """
 
     runs: int = 0
@@ -193,54 +166,20 @@ class PerfAccumulator:
 
     def add(self, report: PerfReport) -> None:
         self.runs += 1
-        for key in (
-            "sim_time_s",
-            "wall_time_s",
-            "events",
-            "broadcasts",
-            "deliveries",
-            "out_of_range_skips",
-            "cache_hits",
-            "cache_misses",
-            "vector_batches",
-            "rows_refreshed",
-            "grid_candidates",
-            "rows_skipped_delta",
-            "rows_skipped_inreach",
-            "bulk_pushes",
-            "bulk_events",
-            "checkpoints_taken",
-            "resumes",
-        ):
-            self._totals[key] = self._totals.get(key, 0) + getattr(report, key)
-        # Occupied-cell count is a gauge, not a flow: keep the peak.
-        self._totals["grid_cells"] = max(
-            self._totals.get("grid_cells", 0), report.grid_cells
-        )
+        totals = self._totals
+        for f in fields(PerfReport):
+            value = getattr(report, f.name)
+            if f.name not in totals:
+                totals[f.name] = value
+            elif f.metadata.get("gauge"):
+                totals[f.name] = max(totals[f.name], value)
+            else:
+                totals[f.name] += value
 
     def merged(self) -> PerfReport:
         """Totals as a single report (zeros if nothing was added)."""
         totals = self._totals
-        return PerfReport(
-            sim_time_s=totals.get("sim_time_s", 0.0),
-            wall_time_s=totals.get("wall_time_s", 0.0),
-            events=int(totals.get("events", 0)),
-            broadcasts=int(totals.get("broadcasts", 0)),
-            deliveries=int(totals.get("deliveries", 0)),
-            out_of_range_skips=int(totals.get("out_of_range_skips", 0)),
-            cache_hits=int(totals.get("cache_hits", 0)),
-            cache_misses=int(totals.get("cache_misses", 0)),
-            vector_batches=int(totals.get("vector_batches", 0)),
-            rows_refreshed=int(totals.get("rows_refreshed", 0)),
-            grid_candidates=int(totals.get("grid_candidates", 0)),
-            rows_skipped_delta=int(totals.get("rows_skipped_delta", 0)),
-            grid_cells=int(totals.get("grid_cells", 0)),
-            rows_skipped_inreach=int(totals.get("rows_skipped_inreach", 0)),
-            bulk_pushes=int(totals.get("bulk_pushes", 0)),
-            bulk_events=int(totals.get("bulk_events", 0)),
-            checkpoints_taken=int(totals.get("checkpoints_taken", 0)),
-            resumes=int(totals.get("resumes", 0)),
-        )
+        return PerfReport(**{f.name: totals.get(f.name, 0) for f in fields(PerfReport)})
 
     def summary_lines(self) -> List[str]:
         return [f"runs: {self.runs}"] + self.merged().summary_lines()

@@ -54,14 +54,7 @@ class ChannelStats:
     currently occupied cells.  ``rows_skipped_delta`` counts stale pair
     recomputes skipped by the movement-bounded delta-epoch test (the pair
     was cached so deep out of reach that the endpoints' accumulated motion
-    could not have brought it back in reach); ``rows_skipped_inreach`` is
-    the symmetric inside-the-boundary count (masks provably unchanged,
-    scalar recompute deferred to the next fan-out build).
-
-    ``bulk_pushes`` / ``bulk_events`` describe the batched fan-out path:
-    one bulk push schedules every arrival of a broadcast through
-    :meth:`EventQueue.push_bulk`, so their ratio is the mean scheduled
-    fan-out per transmission.
+    could not have brought it back in reach).
     """
 
     broadcasts: int = 0
@@ -74,9 +67,9 @@ class ChannelStats:
     grid_candidates: int = 0
     grid_cells: int = 0
     rows_skipped_delta: int = 0
+    #: Always 0: no mechanism skips in-reach pairs.  Kept only because the
+    #: traced benchmark run (``perfbench/layers.py``) reads it.
     rows_skipped_inreach: int = 0
-    bulk_pushes: int = 0
-    bulk_events: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -106,16 +99,6 @@ class AcousticChannel:
         use_delta_epochs: Skip recomputing stale pairs whose accumulated
             endpoint motion provably cannot have brought them back in
             reach (bit-identical; A/B flag).  Ignored without the cache.
-        use_inreach_delta: The symmetric inside-the-boundary bound: pairs
-            cached farther inside a mask boundary than their accumulated
-            motion keep their masks without recompute, and their scalar
-            recompute is deferred to the next fan-out build
-            (bit-identical; A/B flag).  Ignored without the cache.
-        use_bulk_schedule: Schedule each broadcast's arrivals as one
-            pre-sorted batch through :meth:`Simulator.push_bulk` instead
-            of one ``push_at`` per receiver (bit-identical; A/B flag).
-            Falls back to the scalar loop when fading is active or the
-            link cache is off.
         pool_arrivals: Recycle :class:`Arrival` objects through a
             free-list (repopulated at modem prune time) instead of
             allocating one per delivery.  Off by default because external
@@ -140,8 +123,6 @@ class AcousticChannel:
         use_link_cache: bool = True,
         use_spatial_grid: bool = True,
         use_delta_epochs: bool = True,
-        use_inreach_delta: bool = True,
-        use_bulk_schedule: bool = True,
         pool_arrivals: bool = False,
         arrival_pool_cap: int = ARRIVAL_POOL_CAP,
     ) -> None:
@@ -188,11 +169,6 @@ class AcousticChannel:
         #: pin memory.
         self.arrival_pool: Optional[list] = [] if pool_arrivals else None
         self.arrival_pool_cap = arrival_pool_cap
-        # Batched fan-out needs the cached per-row delay vector and bound
-        # callbacks, and per-pair fading would reintroduce a scalar loop
-        # anyway — so the bulk path is active only with the cache on and
-        # fading off; everything else falls back to the scalar loop.
-        self._bulk = use_bulk_schedule and use_link_cache and not self._fading_active
         self.link_cache: Optional[LinkStateCache] = None
         if use_link_cache:
             self.link_cache = LinkStateCache(
@@ -204,8 +180,6 @@ class AcousticChannel:
                 self.stats,
                 use_spatial_grid=use_spatial_grid,
                 use_delta_epochs=use_delta_epochs,
-                use_inreach_delta=use_inreach_delta,
-                build_bulk_products=self._bulk,
             )
 
     # ------------------------------------------------------------------
@@ -293,10 +267,7 @@ class AcousticChannel:
             targets = cache.deliveries(row)
             self.stats.out_of_range_skips += row.skips
             self.stats.grid_candidates += row.candidate_count
-            if self._bulk and targets:
-                self._fan_out_bulk(tx_id, frame, duration_s, targets, row)
-            else:
-                self._fan_out(tx_id, frame, duration_s, targets)
+            self._fan_out(tx_id, frame, duration_s, targets)
             return
         tx_pos = self.position_of(tx_id)
         reach = self.max_range_m * self.interference_range_factor
@@ -354,51 +325,6 @@ class AcousticChannel:
             # High priority so arrivals register before same-instant MAC logic.
             push_at(start, modem.begin_arrival, (arrival,), PRIORITY_HIGH)
         stats.deliveries += len(targets)
-
-    def _fan_out_bulk(
-        self,
-        tx_id: int,
-        frame: Frame,
-        duration_s: float,
-        targets: "list[Tuple[int, AcousticModem, float, float]]",
-        row,
-    ) -> None:
-        """Batched fan-out: one :meth:`Simulator.push_bulk` per broadcast.
-
-        Arrival times come from one vectorized add over the row's cached
-        delay vector (IEEE-identical to the scalar ``now + delay``), and
-        the whole batch is heap-inserted in a single pass with sequence
-        numbers in target order — so pop order, and therefore every
-        downstream RNG draw, matches the scalar loop bit for bit.
-        """
-        now = self.sim.now
-        starts = now + row.delivery_delays
-        ends = starts + duration_s
-        starts_l = starts.tolist()
-        ends_l = ends.tolist()
-        pool = self.arrival_pool
-        arrivals = []
-        append = arrivals.append
-        for target, start, end in zip(targets, starts_l, ends_l):
-            if pool:
-                arrival = pool.pop()
-                arrival.frame = frame
-                arrival.src = tx_id
-                arrival.start = start
-                arrival.end = end
-                arrival.level_db = target[3]
-                arrival.delay_s = target[2]
-            else:
-                arrival = Arrival(frame, tx_id, start, end, target[3], target[2])
-            append(arrival)
-        # zip(arrivals) builds the per-event 1-tuple args at C speed.
-        self.sim.push_bulk(
-            starts_l, row.delivery_callbacks, list(zip(arrivals)), PRIORITY_HIGH
-        )
-        stats = self.stats
-        stats.deliveries += len(targets)
-        stats.bulk_pushes += 1
-        stats.bulk_events += len(targets)
 
     # ------------------------------------------------------------------
     def max_propagation_delay_s(self) -> float:

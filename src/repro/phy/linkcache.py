@@ -108,8 +108,6 @@ class LinkStateCache:
         stats: "ChannelStats",
         use_spatial_grid: bool = True,
         use_delta_epochs: bool = True,
-        use_inreach_delta: bool = True,
-        build_bulk_products: bool = False,
     ) -> None:
         self._kernel = VectorLinkKernel(
             members,
@@ -120,8 +118,6 @@ class LinkStateCache:
             stats,
             use_spatial_grid=use_spatial_grid,
             use_delta_epochs=use_delta_epochs,
-            use_inreach_delta=use_inreach_delta,
-            build_bulk_products=build_bulk_products,
         )
 
     @property

@@ -44,20 +44,6 @@ path while out of reach (point queries validate per-pair stamps and
 recompute on demand, see :meth:`ensure_pair`).  The bound is conservative,
 so skipping is bit-identical by construction.
 
-The bound works symmetrically on the *inside* of the boundaries
-(``use_inreach_delta``): a pair cached deeper inside the decode range than
-its accumulated motion cannot have left it (both masks provably stay
-``True``), and with an interference annulus (``reach_m > max_range_m``) a
-pair cached farther from both boundaries than its motion stays
-interference-only (``in_reach`` ``True``, ``in_decode`` ``False``).  Unlike
-the out-of-reach skip, an in-reach pair's *scalars* (delay, level) feed
-delivered arrivals, so an in-reach skip defers rather than discards that
-work: the row is flagged ``scalars_stale`` and :meth:`deliveries` lazily
-recomputes exactly the stale in-reach entries before building a fan-out
-list.  Mask-only consumers — neighbour sets, decode-range queries — never
-pay for the deferred scalars at all, and repeated movement between
-fan-outs collapses several recomputes into one.
-
 Layout
 ------
 :class:`VectorLinkKernel` keeps, in registration order (which is also the
@@ -132,8 +118,6 @@ class RowState:
     Attributes:
         n: Member count the row was sized for (a membership change makes
             the row unusable and it is rebuilt from scratch).
-        idx: The transmitter's member index (epoch lookups for the lazy
-            in-reach scalar fix-up in :meth:`VectorLinkKernel.deliveries`).
         total_epoch: Kernel ``total_epoch`` at the last freshness check —
             when it still matches, nothing anywhere moved and the row is
             served without touching any array.
@@ -159,27 +143,10 @@ class RowState:
         skips: Out-of-reach receiver count backing the channel's
             ``out_of_range_skips`` counter (valid once ``deliveries`` is).
         decode_ids: Lazily built tuple of in-decode-range node ids.
-        scalars_stale: True while some in-reach entry's scalars were
-            skipped by the in-reach delta bound; cleared by the lazy
-            fix-up when :meth:`VectorLinkKernel.deliveries` next runs.
-        stale_mask: Per-member flags marking exactly the in-reach entries
-            the bound skipped (allocated on first skip).  The skip proof
-            guarantees those entries' masks did not change, so the cached
-            ``deliveries`` list survives the skip and the fix-up patches
-            only the flagged positions instead of rebuilding the row's
-            fan-out products from scratch.
-        delivery_js: Member indices backing ``deliveries``, in order —
-            the fix-up's map from flagged entries to list positions.
-        delivery_delays: Bulk-schedule product (when enabled): the
-            in-reach entries' delays as a contiguous float64 vector,
-            aligned with ``deliveries``.
-        delivery_callbacks: Bulk-schedule product: the in-reach modems'
-            bound ``begin_arrival`` methods, aligned with ``deliveries``.
     """
 
     __slots__ = (
         "n",
-        "idx",
         "total_epoch",
         "stamp",
         "disp_stamp",
@@ -194,16 +161,10 @@ class RowState:
         "deliveries",
         "skips",
         "decode_ids",
-        "scalars_stale",
-        "stale_mask",
-        "delivery_js",
-        "delivery_delays",
-        "delivery_callbacks",
     )
 
-    def __init__(self, n: int, idx: int = -1) -> None:
+    def __init__(self, n: int) -> None:
         self.n = n
-        self.idx = idx
         self.total_epoch = -1
         self.stamp = np.full(n, _NEVER, dtype=np.int64)
         self.disp_stamp = np.zeros(n, dtype=np.float64)
@@ -218,11 +179,6 @@ class RowState:
         self.deliveries: Optional[List[Tuple[int, "AcousticModem", float, float]]] = None
         self.skips = 0
         self.decode_ids: Optional[Tuple[int, ...]] = None
-        self.scalars_stale = False
-        self.stale_mask: Optional[np.ndarray] = None
-        self.delivery_js: Optional[np.ndarray] = None
-        self.delivery_delays: Optional[np.ndarray] = None
-        self.delivery_callbacks: Optional[List[Callable]] = None
 
 
 class VectorLinkKernel:
@@ -251,8 +207,6 @@ class VectorLinkKernel:
         "_lru_active",
         "_use_grid",
         "_use_delta",
-        "_use_delta_in",
-        "_bulk",
         "_cell_m",
         "_cells",
         "_cell_key",
@@ -270,8 +224,6 @@ class VectorLinkKernel:
         row_budget_entries: int = DEFAULT_ROW_BUDGET_ENTRIES,
         use_spatial_grid: bool = True,
         use_delta_epochs: bool = True,
-        use_inreach_delta: bool = True,
-        build_bulk_products: bool = False,
     ) -> None:
         self._members = members
         self._propagation = propagation
@@ -298,12 +250,6 @@ class VectorLinkKernel:
         self._lru_active = False
         self._use_grid = use_spatial_grid
         self._use_delta = use_delta_epochs
-        self._use_delta_in = use_inreach_delta
-        #: Cache the bulk-schedule fan-out products (delay vector + bound
-        #: ``begin_arrival`` callbacks) alongside each row's delivery list.
-        #: Off unless the owning channel's bulk path can actually use them,
-        #: so A/B off-runs do not pay for building them.
-        self._bulk = build_bulk_products
         #: Cell side: one reach radius, so a 3x3x3 neighborhood is a strict
         #: superset of the in-reach ball from anywhere inside the center cell.
         self._cell_m = reach_m
@@ -402,9 +348,8 @@ class VectorLinkKernel:
             ids = self._ids
             for idx in range(n):
                 self._move_node(idx, members[ids[idx]][1]())
-            # _move_node bumps only genuinely moved epochs via coordinates?
-            # No: it bumps unconditionally, which is exactly the conservative
-            # contract of a global invalidation.
+            # Every node's epoch bumps, moved or not: a global invalidation
+            # conservatively treats every pair as stale.
             self.total_epoch += 1
             return
         idx = self._index[node_id]
@@ -468,26 +413,14 @@ class VectorLinkKernel:
         cands.sort()
         return cands
 
-    def _compute(
-        self,
-        idx: int,
-        row: RowState,
-        targets: np.ndarray,
-        keep_products: bool = False,
-    ) -> None:
+    def _compute(self, idx: int, row: RowState, targets: np.ndarray) -> None:
         """Vectorized pass filling ``row`` at ``targets`` (member indices).
 
         Also stamps the computed pairs' epoch sums and displacement
         baselines, so every compute path (build, refresh, on-demand point
-        query) maintains the staleness detectors identically.
-
-        ``keep_products`` is for callers holding a masks-stable proof —
-        the lazy in-reach fix-up and point queries on a fresh row, where
-        every recomputed entry is either a skip (masks proven unchanged)
-        or provably out of reach (grid cull / out-of-reach bound).  The
-        derived products (``deliveries``, ``decode_ids``, the bulk
-        vectors) are membership functions of the masks, so they survive
-        such a recompute; the caller patches any stale scalar copies.
+        query) maintains the staleness detectors identically.  The derived
+        products (``deliveries``, ``decode_ids``) are left alone: callers
+        whose recompute can change a mask drop them (see :meth:`_refresh`).
         """
         xs, ys, zs = self._xs, self._ys, self._zs
         x0, y0, z0 = xs[idx], ys[idx], zs[idx]
@@ -514,17 +447,11 @@ class VectorLinkKernel:
         # The self pair is never delivered to and never queried.
         row.in_reach[idx] = False
         row.in_decode[idx] = False
-        if not keep_products:
-            row.deliveries = None
-            row.decode_ids = None
-            row.delivery_js = None
-            row.delivery_delays = None
-            row.delivery_callbacks = None
         self._stats.vector_batches += 1
 
     def _build(self, idx: int) -> RowState:
         n = self._n
-        row = RowState(n, idx)
+        row = RowState(n)
         if self._use_grid:
             cands = self._candidates_for(idx)
             row.candidates = cands
@@ -555,9 +482,6 @@ class VectorLinkKernel:
                     row.stamp[departed] = _NEVER
                     row.deliveries = None
                     row.decode_ids = None
-                    row.delivery_js = None
-                    row.delivery_delays = None
-                    row.delivery_callbacks = None
                 row.candidates = cands
                 row.cands_epoch = self.cells_epoch
                 row.candidate_count = len(cands) - 1
@@ -570,60 +494,25 @@ class VectorLinkKernel:
             stale = row.stamp != expected
             stale[idx] = False
             dirty = np.nonzero(stale)[0]
-        if dirty.size and (self._use_delta or self._use_delta_in):
-            # Movement-bounded skips: the accumulated motion of both
+        if dirty.size and self._use_delta:
+            # Movement-bounded skip: the accumulated motion of both
             # endpoints since a pair's compute bounds |d_now - d_cached|
-            # (triangle inequality), so a pair cached farther from a mask
-            # boundary than that bound cannot have crossed it.
+            # (triangle inequality), so a pair cached outside delivery
+            # reach by more than that bound cannot have re-entered it —
+            # both masks are provably still False and nothing else of the
+            # entry is read while it stays out of reach.
             motion = (self._disp[idx] + self._disp[dirty]) - row.disp_stamp[dirty]
-            dist = row.distance_m[dirty]
-            known = row.stamp[dirty] != _NEVER
-            skip: Optional[np.ndarray] = None
-            if self._use_delta:
-                # Outside delivery reach by more than the motion bound:
-                # both masks are provably still False and nothing else of
-                # the entry is read while it stays out of reach.
-                skip = known & (dist - self._reach_m > motion)
-                skipped = int(np.count_nonzero(skip))
-                if skipped:
-                    stats.rows_skipped_delta += skipped
-            if self._use_delta_in:
-                max_r = self._max_range_m
-                # Deeper inside the decode range than the motion bound:
-                # both masks provably stay True.  With an interference
-                # annulus (reach > decode range), an entry farther from
-                # *both* boundaries than the bound stays interference-only
-                # (in_reach True, in_decode False).
-                skip_in = known & (max_r - dist > motion)
-                if self._reach_m > max_r:
-                    skip_in |= (
-                        known
-                        & (dist - max_r > motion)
-                        & (self._reach_m - dist > motion)
-                    )
-                skipped_in = int(np.count_nonzero(skip_in))
-                if skipped_in:
-                    stats.rows_skipped_inreach += skipped_in
-                    # Masks are proven stable but the deferred entries'
-                    # delay/level scalars are now stale; flag exactly
-                    # those entries so the lazy fix-up in deliveries()
-                    # patches them in place.  Mask-only products and the
-                    # cached fan-out list itself stay live — membership
-                    # cannot have changed, only the flagged scalars.
-                    # Deferral pays off when the row is refreshed again
-                    # before its next broadcast (several refreshes' worth
-                    # of deferred entries collapse into one fix-up batch)
-                    # or when the row is never broadcast again at all.
-                    mask = row.stale_mask
-                    if mask is None:
-                        mask = row.stale_mask = np.zeros(n, dtype=bool)
-                    mask[dirty[skip_in]] = True
-                    row.scalars_stale = True
-                    skip = skip_in if skip is None else skip | skip_in
-            if skip is not None and skip.any():
+            skip = (row.stamp[dirty] != _NEVER) & (
+                row.distance_m[dirty] - self._reach_m > motion
+            )
+            skipped = int(np.count_nonzero(skip))
+            if skipped:
+                stats.rows_skipped_delta += skipped
                 dirty = dirty[~skip]
         if dirty.size:
             self._compute(idx, row, dirty)
+            row.deliveries = None
+            row.decode_ids = None
             stats.rows_refreshed += 1
             stats.cache_misses += int(dirty.size)
             stats.cache_hits += n - 1 - int(dirty.size)
@@ -642,16 +531,12 @@ class VectorLinkKernel:
         bit-identical with the batch path by construction.
 
         Only rows fresh from :meth:`row` reach here, so a stale entry is
-        always a proven-stable-mask skip (grid cull, out-of-reach bound or
-        in-reach bound) — the derived products survive the recompute.  An
-        in-reach-skipped entry stays flagged in ``stale_mask``, so a
-        cached fan-out list still holding its old scalars is patched by
-        the next :meth:`deliveries` fix-up, not served stale.
+        always provably out of reach (grid cull or out-of-reach bound) —
+        its masks stay False and the derived products survive the
+        recompute.
         """
         if row.stamp[rx_idx] != self._epoch[tx_idx] + self._epoch[rx_idx]:
-            self._compute(
-                tx_idx, row, np.array([rx_idx], dtype=np.intp), keep_products=True
-            )
+            self._compute(tx_idx, row, np.array([rx_idx], dtype=np.intp))
             self._stats.cache_misses += 1
 
     # ------------------------------------------------------------------
@@ -665,81 +550,21 @@ class VectorLinkKernel:
         Entries are ``(rx_id, modem, delay_s, level_db)`` python scalars in
         registration order — exactly the values and order the scalar loop
         produced — so the hot loop does no NumPy access per delivery.
-
-        If the in-reach delta bound deferred any in-reach recomputes
-        (``scalars_stale``), they are fixed up here first: exactly the
-        deferred entries get one vectorized recompute, restoring
-        bit-identity before any scalar is read.  The skip proof guarantees
-        the recompute cannot change either mask, so membership — and with
-        it the cached list, ``decode_ids`` and the bulk products — all
-        survive: a cached list is *patched* at the flagged positions
-        rather than rebuilt.
-
-        When bulk-schedule products are enabled, the in-reach delay vector
-        and the bound ``begin_arrival`` callbacks are cached alongside the
-        list for the channel's batched fan-out.
         """
         built = row.deliveries
         if built is not None:
-            if row.scalars_stale:
-                self._patch_deliveries(row, built)
             return built
-        js = np.nonzero(row.in_reach)[0]
-        if row.scalars_stale:
-            stale = js[row.stamp[js] != self._epoch[row.idx] + self._epoch[js]]
-            if stale.size:
-                self._compute(row.idx, row, stale, keep_products=True)
-                self._stats.cache_misses += int(stale.size)
-            if row.stale_mask is not None:
-                row.stale_mask.fill(False)
-            row.scalars_stale = False
         members = self._members
         ids = self._ids
         delays = row.delay_s
         levels = row.level_db
         built = [
             (ids[j], members[ids[j]][0], float(delays[j]), float(levels[j]))
-            for j in js.tolist()
+            for j in np.nonzero(row.in_reach)[0].tolist()
         ]
         row.deliveries = built
-        row.delivery_js = js
         row.skips = row.n - 1 - len(built)
-        if self._bulk:
-            row.delivery_delays = delays[js]
-            row.delivery_callbacks = [t[1].begin_arrival for t in built]
         return built
-
-    def _patch_deliveries(
-        self, row: RowState, built: List[Tuple[int, "AcousticModem", float, float]]
-    ) -> None:
-        """In-place fix-up of a cached fan-out list after in-reach skips.
-
-        Membership is proven unchanged, so only the flagged positions'
-        scalars can be stale: recompute whichever flagged entries still
-        carry stale stamps (a point query may have refreshed some
-        already), then rewrite exactly those list entries — and their
-        bulk delay slots — from the now-current arrays.
-        """
-        js = row.delivery_js
-        mask = row.stale_mask
-        pos = np.nonzero(mask[js])[0]
-        if pos.size:
-            stale_js = js[pos]
-            need = stale_js[
-                row.stamp[stale_js] != self._epoch[row.idx] + self._epoch[stale_js]
-            ]
-            if need.size:
-                self._compute(row.idx, row, need, keep_products=True)
-                self._stats.cache_misses += int(need.size)
-            delays = row.delay_s
-            levels = row.level_db
-            for p, j in zip(pos.tolist(), stale_js.tolist()):
-                old = built[p]
-                built[p] = (old[0], old[1], float(delays[j]), float(levels[j]))
-            if row.delivery_delays is not None:
-                row.delivery_delays[pos] = delays[stale_js]
-            mask[stale_js] = False
-        row.scalars_stale = False
 
     def decode_ids(self, row: RowState) -> Tuple[int, ...]:
         """Ids within hard decode range, in registration order."""

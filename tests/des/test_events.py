@@ -100,70 +100,3 @@ def test_clear_empties_queue():
     q.clear()
     assert len(q) == 0
     assert q.pop() is None
-
-
-def drain(q):
-    fired = []
-    while (event := q.pop()) is not None:
-        event._fire()
-        fired.append(event)
-    return fired
-
-
-class TestPushBulk:
-    def test_matches_push_plain_loop_exactly(self):
-        times = [3.0, 1.0, 2.0, 1.0, 5.0]
-        bulk_fired, plain_fired = [], []
-        bulk, plain = EventQueue(), EventQueue()
-        bulk.push_bulk(
-            times,
-            [bulk_fired.append] * len(times),
-            [(f"e{i}",) for i in range(len(times))],
-            priority=PRIORITY_HIGH,
-        )
-        for i, t in enumerate(times):
-            plain.push_plain(t, plain_fired.append, (f"e{i}",), priority=PRIORITY_HIGH)
-        bulk_events = drain(bulk)
-        plain_events = drain(plain)
-        assert bulk_fired == plain_fired
-        assert [(e.time, e.priority, e.seq) for e in bulk_events] == [
-            (e.time, e.priority, e.seq) for e in plain_events
-        ]
-
-    def test_same_time_ties_fire_in_batch_order(self):
-        q = EventQueue()
-        fired = []
-        q.push_bulk([1.0] * 4, [fired.append] * 4, [(i,) for i in range(4)])
-        drain(q)
-        assert fired == [0, 1, 2, 3]
-
-    def test_interleaves_with_scalar_pushes_by_time_and_priority(self):
-        q = EventQueue()
-        fired = []
-        q.push(1.0, fired.append, ("scalar-normal",), priority=PRIORITY_NORMAL)
-        q.push_bulk(
-            [1.0, 0.5], [fired.append] * 2, [("bulk-high",), ("bulk-early",)],
-            priority=PRIORITY_HIGH,
-        )
-        q.push(0.75, fired.append, ("scalar-mid",))
-        drain(q)
-        assert fired == ["bulk-early", "scalar-mid", "bulk-high", "scalar-normal"]
-
-    def test_seq_counter_shared_with_scalar_pushes(self):
-        # The batch consumes exactly len(times) sequence numbers, so a later
-        # same-time scalar push still loses the tie to every batch entry.
-        q = EventQueue()
-        fired = []
-        q.push_bulk([2.0, 2.0], [fired.append] * 2, [("b0",), ("b1",)])
-        q.push(2.0, fired.append, ("after",))
-        drain(q)
-        assert fired == ["b0", "b1", "after"]
-
-    def test_live_count_and_empty_batch(self):
-        q = EventQueue()
-        q.push_bulk([], [], [])
-        assert len(q) == 0
-        q.push_bulk([1.0, 2.0, 3.0], [lambda x: None] * 3, [(0,), (1,), (2,)])
-        assert len(q) == 3
-        q.pop()
-        assert len(q) == 2

@@ -24,13 +24,12 @@ from repro.experiments.checkpoint import (
     CheckpointError,
     read_checkpoint,
     restore_scenario,
-    snapshot_scenario,
     write_checkpoint,
 )
 from repro.experiments.config import table2_config
 from repro.experiments.parallel import execute_cell, expand_cells
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweeps import SweepSpec
+from repro.experiments.engine import SweepSpec
 from repro.net.node import sample_request_uid_floor
 from repro.phy.frame import sample_frame_uid_floor
 

@@ -14,7 +14,7 @@ from repro.experiments.parallel import (
     expand_cells,
     execute_cell,
 )
-from repro.experiments.sweeps import SweepSpec, run_sweep
+from repro.experiments.engine import SweepSpec, run_sweep
 
 
 def _configure(base, x, protocol, seed):
@@ -258,7 +258,7 @@ class TestPermanentFailure:
 
     def test_failed_cells_keep_an_empty_grid_entry(self, monkeypatch):
         import repro.experiments.parallel as parallel_mod
-        from repro.experiments.sweeps import aggregate
+        from repro.experiments.engine import aggregate
 
         monkeypatch.setattr(parallel_mod, "execute_cell", _poisoned_execute_cell)
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()

@@ -1,5 +1,7 @@
 """Tests for the perf instrumentation layer (repro.perf + CLI --profile)."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.experiments.cli import main
@@ -23,6 +25,13 @@ def make_report(**overrides):
     return PerfReport(**base)
 
 
+def distinct_report(offset):
+    """A report whose every field holds a different value."""
+    return PerfReport(
+        **{f.name: offset + i for i, f in enumerate(fields(PerfReport))}
+    )
+
+
 class TestPerfReport:
     def test_derived_rates(self):
         report = make_report()
@@ -43,6 +52,17 @@ class TestPerfReport:
         assert data["events"] == 100_000
         assert data["cache_hit_rate"] == pytest.approx(0.9)
         assert all(isinstance(v, (int, float)) for v in data.values())
+        report = distinct_report(1)
+        data = report.to_dict()
+        names = {f.name for f in fields(PerfReport)}
+        rates = {
+            "events_per_second",
+            "broadcasts_per_second",
+            "cache_hit_rate",
+            "speedup_factor",
+        }
+        assert set(data) == names | rates
+        assert PerfReport(**{name: data[name] for name in names}) == report
 
     def test_summary_lines_mention_key_counters(self):
         text = "\n".join(make_report().summary_lines())
@@ -60,27 +80,6 @@ class TestPerfReport:
         assert perf.broadcasts > 0
         assert perf.cache_hits + perf.cache_misses > 0
 
-    def test_bulk_and_inreach_counters_surface(self):
-        report = make_report(
-            rows_skipped_inreach=7, bulk_pushes=3, bulk_events=42
-        )
-        data = report.to_dict()
-        assert data["rows_skipped_inreach"] == 7
-        assert data["bulk_pushes"] == 3
-        assert data["bulk_events"] == 42
-        text = "\n".join(report.summary_lines())
-        assert "7 in-reach skips" in text
-        assert "bulk schedule: 3 pushes, 42 events (14.0 per push)" in text
-
-    def test_capture_counts_bulk_fanout_on_mobile_run(self):
-        result = run_scenario(
-            table2_config(sim_time_s=20.0, seed=3, mobility=True)
-        )
-        perf = result.perf
-        assert perf.bulk_pushes > 0
-        assert perf.bulk_events >= perf.bulk_pushes
-        assert perf.rows_skipped_inreach > 0
-
     def test_perf_excluded_from_to_dict(self):
         # Figure metrics must stay machine-independent and identical with
         # the cache on/off; wall time in to_dict would break both.
@@ -91,24 +90,25 @@ class TestPerfReport:
 class TestPerfAccumulator:
     def test_merge_adds_counters_and_recomputes_rates(self):
         acc = PerfAccumulator()
-        acc.add(make_report(bulk_pushes=2, bulk_events=10, rows_skipped_inreach=5))
-        acc.add(
-            make_report(
-                wall_time_s=6.0,
-                events=300_000,
-                bulk_pushes=3,
-                bulk_events=20,
-                rows_skipped_inreach=7,
-            )
-        )
+        acc.add(make_report())
+        acc.add(make_report(wall_time_s=6.0, events=300_000))
         merged = acc.merged()
         assert acc.runs == 2
         assert merged.events == 400_000
         assert merged.wall_time_s == pytest.approx(8.0)
         assert merged.events_per_second == pytest.approx(50_000.0)
-        assert merged.bulk_pushes == 5
-        assert merged.bulk_events == 30
-        assert merged.rows_skipped_inreach == 12
+        # Every field merges: flows add, the one gauge keeps its peak.
+        first, second = distinct_report(1), distinct_report(100)
+        acc = PerfAccumulator()
+        acc.add(second)
+        acc.add(first)
+        merged = acc.merged()
+        gauges = [f.name for f in fields(PerfReport) if f.metadata.get("gauge")]
+        assert gauges == ["grid_cells"]
+        for f in fields(PerfReport):
+            a, b = getattr(first, f.name), getattr(second, f.name)
+            expected = max(a, b) if f.name in gauges else a + b
+            assert getattr(merged, f.name) == expected, f.name
 
     def test_empty_accumulator_merges_to_zeros(self):
         merged = PerfAccumulator().merged()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.experiments.cache import ResultCache, cell_key
 from repro.experiments.config import table2_config
 from repro.experiments.scenario import Scenario, run_scenario
-from repro.experiments.sweeps import SweepSpec, run_sweep
+from repro.experiments.engine import SweepSpec, run_sweep
 from repro.faults.plan import CrashWave, FaultPlan, NoiseBurst
 
 

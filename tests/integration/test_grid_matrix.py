@@ -89,60 +89,6 @@ class TestGridEquivalence:
         assert _flat(culled) == _flat(full)
 
 
-class TestBulkScheduleEquivalence:
-    """Bulk fan-out + in-reach bound vs scalar scheduling: bit-identical.
-
-    The batched ``push_bulk`` arrival path and the symmetric in-reach
-    displacement bound are the other two pure mechanics: same matrix
-    coverage as the grid — all five MACs, mobility on/off, chaos plans.
-    """
-
-    @staticmethod
-    def _bulk_pair(config):
-        bulk = run_scenario(config.with_(bulk_schedule=True, inreach_delta=True))
-        scalar = run_scenario(config.with_(bulk_schedule=False, inreach_delta=False))
-        return bulk, scalar
-
-    @pytest.mark.parametrize("protocol", ["EW-MAC", "S-FAMA", "ROPA", "CS-MAC", "ALOHA"])
-    def test_mobile_scenario_identical(self, protocol):
-        config = table2_config(
-            protocol=protocol,
-            sim_time_s=40.0,
-            offered_load_kbps=0.8,
-            seed=11,
-            mobility=True,
-        )
-        bulk, scalar = self._bulk_pair(config)
-        assert _flat(bulk) == _flat(scalar)
-        assert bulk.perf.bulk_pushes > 0
-        assert scalar.perf.bulk_pushes == 0
-
-    def test_static_scenario_identical(self):
-        config = table2_config(sim_time_s=40.0, seed=12, mobility=False)
-        bulk, scalar = self._bulk_pair(config)
-        assert _flat(bulk) == _flat(scalar)
-
-    @pytest.mark.parametrize("mobility", [True, False])
-    def test_chaos_plan_identical(self, mobility):
-        plan = chaos_plan(fraction=0.2, warmup_s=10.0, sim_time_s=30.0, n_sensors=60)
-        config = table2_config(
-            sim_time_s=30.0,
-            offered_load_kbps=0.8,
-            seed=19,
-            mobility=mobility,
-            faults=plan,
-        )
-        bulk, scalar = self._bulk_pair(config)
-        assert _flat(bulk) == _flat(scalar)
-
-    def test_mobile_run_exercises_inreach_skip(self):
-        config = table2_config(
-            sim_time_s=40.0, offered_load_kbps=0.8, seed=11, mobility=True
-        )
-        bulk, _ = self._bulk_pair(config)
-        assert bulk.perf.rows_skipped_inreach > 0
-
-
 class TestArrivalPoolEquivalence:
     @pytest.mark.parametrize("protocol", ["EW-MAC", "ALOHA"])
     def test_pool_identical(self, protocol):
@@ -176,14 +122,9 @@ class TestFadingEquivalence:
                 sim,
                 use_spatial_grid=culled,
                 use_delta_epochs=culled,
-                use_inreach_delta=culled,
-                use_bulk_schedule=culled,
                 fading=RayleighBlockFading(coherence_s=2.0, seed=5),
                 interference_range_factor=2.0,
             )
-            # Per-arrival fading draws need the scalar fan-out: the bulk
-            # path must disable itself rather than batch around the RNG.
-            assert channel._bulk is False
             holder = [
                 Position(0, 0, 0),
                 Position(1200, 0, 0),

@@ -169,39 +169,7 @@ class TestDeltaEpochs:
         assert channel.stats.rows_skipped_delta == 0
         assert channel.distance_m(0, 1) == pytest.approx(1001.0)
 
-
-class TestInReachDelta:
-    """Symmetric in-reach bound: near pairs whose motion cannot cross the
-    reach boundary skip the refresh recompute, deferring scalars until
-    :meth:`deliveries` (or a point query) needs them."""
-
-    def test_small_motion_of_near_pair_is_skipped(self):
-        _, channel, holder = build_channel([Position(0, 0, 0), Position(500.0, 0, 0)])
-        assert delivered_ids(channel, 0) == [1]
-        holder[1] = Position(510.0, 0, 0)  # 10 m motion, ~1000 m of margin
-        channel.note_position_change(1)
-        assert delivered_ids(channel, 0) == [1]
-        assert channel.stats.rows_skipped_inreach >= 1
-        assert channel.stats.rows_skipped_delta == 0
-
-    def test_skip_defers_but_never_discards_the_recompute(self):
-        _, channel, holder = build_channel([Position(0, 0, 0), Position(500.0, 0, 0)])
-        cache = channel.link_cache
-        cache.deliveries(cache.broadcast_row(0))
-        misses = channel.stats.cache_misses
-        holder[1] = Position(510.0, 0, 0)
-        channel.note_position_change(1)
-        # The refresh itself skips: masks are proven stable, no recompute.
-        row = cache.broadcast_row(0)
-        assert channel.stats.rows_skipped_inreach == 1
-        assert channel.stats.cache_misses == misses
-        # Building the fan-out list fixes up exactly the stale scalar.
-        targets = cache.deliveries(row)
-        assert [t[0] for t in targets] == [1]
-        assert channel.stats.cache_misses == misses + 1
-        assert targets[0][2] == pytest.approx(510.0 / 1500.0)  # exact delay
-
-    def test_point_query_after_skip_is_exact(self):
+    def test_point_query_after_move_is_exact(self):
         _, channel, holder = build_channel([Position(0, 0, 0), Position(800.0, 0, 0)])
         delivered_ids(channel, 0)
         holder[1] = Position(790.0, 0, 0)
@@ -209,10 +177,9 @@ class TestInReachDelta:
         assert channel.distance_m(0, 1) == pytest.approx(790.0)
         assert channel.propagation_delay_s(0, 1) == pytest.approx(790.0 / 1500.0)
 
-    def test_annulus_skip_with_interference_range(self):
+    def test_annulus_pair_keeps_masks_after_small_move(self):
         # reach = 2 x 1500 = 3000: a pair at 2000 m is in interference reach
-        # but not decodable.  Small motion cannot cross either boundary, so
-        # the annulus arm of the bound skips while both masks hold.
+        # but not decodable, and a small move keeps it that way.
         _, channel, holder = build_channel(
             [Position(0, 0, 0), Position(2000.0, 0, 0)],
             interference_range_factor=2.0,
@@ -222,15 +189,14 @@ class TestInReachDelta:
         holder[1] = Position(2010.0, 0, 0)
         channel.note_position_change(1)
         assert delivered_ids(channel, 0) == [1]
-        assert channel.stats.rows_skipped_inreach >= 1
         assert channel.link_cache.link(0, 1).in_decode_range is False
         assert channel.distance_m(0, 1) == pytest.approx(2010.0)
 
     def test_boundary_crossing_forces_recompute(self):
         _, channel, holder = build_channel([Position(0, 0, 0), Position(1400.0, 0, 0)])
         assert delivered_ids(channel, 0) == [1]
-        # 300 m of motion against 100 m of margin: the bound cannot prove
-        # the masks stable, so the pair recomputes and leaves reach.
+        # 300 m of motion against 100 m of margin: the pair recomputes and
+        # leaves reach.
         holder[1] = Position(1700.0, 0, 0)
         channel.note_position_change(1)
         assert delivered_ids(channel, 0) == []
@@ -239,18 +205,6 @@ class TestInReachDelta:
         channel.note_position_change(1)
         assert delivered_ids(channel, 0) == [1]
         assert channel.distance_m(0, 1) == pytest.approx(1450.0)
-
-    def test_disabled_flag_restores_eager_recompute(self):
-        _, channel, holder = build_channel(
-            [Position(0, 0, 0), Position(500.0, 0, 0)], use_inreach_delta=False
-        )
-        delivered_ids(channel, 0)
-        misses = channel.stats.cache_misses
-        holder[1] = Position(510.0, 0, 0)
-        channel.note_position_change(1)
-        channel.link_cache.broadcast_row(0)
-        assert channel.stats.rows_skipped_inreach == 0
-        assert channel.stats.cache_misses == misses + 1
 
 
 class TestGridCounters:

@@ -29,9 +29,6 @@ def warm_all_rows(channel):
 
 
 class TestPerNodeEpochs:
-    # The in-reach delta bound is disabled here: these tests pin the exact
-    # per-pair recompute arithmetic of the epoch machinery, which the
-    # in-reach skip deliberately defers (covered in test_spatial_grid.py).
     def test_moving_one_node_dirties_exactly_its_row_and_column(self):
         positions = [
             Position(0, 0, 0),
@@ -39,7 +36,7 @@ class TestPerNodeEpochs:
             Position(0, 1000, 0),
             Position(700, 700, 0),
         ]
-        _, channel, holder = build_channel(positions, use_inreach_delta=False)
+        _, channel, holder = build_channel(positions)
         warm_all_rows(channel)
         stats = channel.stats
         n = len(positions)
@@ -78,7 +75,7 @@ class TestPerNodeEpochs:
             Position(100, 1100, 0),
             Position(650, 720, 10),
         ]
-        _, channel, holder = build_channel(positions, use_inreach_delta=False)
+        _, channel, holder = build_channel(positions)
         row = channel.link_cache.broadcast_row(0)
         before_dist = row.distance_m.copy()
         before_delay = row.delay_s.copy()
@@ -111,7 +108,7 @@ class TestPerNodeEpochs:
 
     def test_global_invalidate_dirties_everything(self):
         positions = [Position(0, 0, 0), Position(1000, 0, 0), Position(0, 500, 0)]
-        _, channel, holder = build_channel(positions, use_inreach_delta=False)
+        _, channel, holder = build_channel(positions)
         warm_all_rows(channel)
         holder[0] = Position(10, 0, 0)
         holder[1] = Position(990, 0, 0)

@@ -9,7 +9,6 @@ points we thought to write down.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

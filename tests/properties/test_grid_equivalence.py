@@ -44,7 +44,6 @@ def build_pair(positions):
             use_link_cache=True,
             use_spatial_grid=culled,
             use_delta_epochs=culled,
-            use_inreach_delta=culled,
             interference_range_factor=2.0,
         )
         holder = list(positions)
@@ -104,9 +103,9 @@ def test_grid_identical_through_interleaved_moves(positions, moves):
 
 # Geometry concentrated around the decode (1500 m) and interference
 # (3000 m at factor 2) boundaries, with step sizes that routinely carry a
-# pair across them in either direction — the regime where the in-reach and
-# out-of-reach displacement bounds must hand pairs back to the recompute
-# path instead of skipping.
+# pair across them in either direction — the regime where the out-of-reach
+# displacement bound must hand pairs back to the recompute path instead of
+# skipping.
 near_coord = st.floats(min_value=-2500.0, max_value=2500.0, allow_nan=False)
 near_positions_st = st.lists(
     st.builds(
@@ -132,9 +131,9 @@ boundary_moves_st = st.lists(
 @given(positions=near_positions_st, moves=boundary_moves_st)
 @settings(max_examples=60, deadline=None)
 def test_inreach_and_delta_skips_identical_across_reach_boundary(positions, moves):
-    """Both displacement bounds vs eager recompute, pairs crossing reach.
+    """The displacement bound vs eager recompute, pairs crossing reach.
 
-    Isolates the two delta-epoch bounds (grid off on both sides): small
+    Isolates the delta-epoch bound (grid off on both sides): small
     hops accumulate until a pair drifts out of decode range, out of
     interference reach, and back in — every crossing must recompute, every
     provably-stable hop may skip, and the fan-out must never differ.
@@ -148,7 +147,6 @@ def test_inreach_and_delta_skips_identical_across_reach_boundary(positions, move
             sim,
             use_spatial_grid=False,
             use_delta_epochs=skips,
-            use_inreach_delta=skips,
             interference_range_factor=2.0,
         )
         holder = list(positions)
