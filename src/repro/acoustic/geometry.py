@@ -43,8 +43,8 @@ class Position:
         """Euclidean distance in metres.
 
         Squares are written as explicit multiplications rather than ``** 2``:
-        both the scalar hot path and the vectorized broadcast kernel
-        (:mod:`repro.phy.vectorized`) must produce bit-identical distances,
+        both the scalar hot path and the vectorized link-state cache
+        (:mod:`repro.phy.linkcache`) must produce bit-identical distances,
         and ``float.__pow__`` routes through libm ``pow`` which does not
         always round identically to ``x * x`` — multiplication is exact IEEE
         arithmetic in both NumPy and CPython (and is faster).

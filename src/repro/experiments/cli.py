@@ -112,18 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         "so every cell is computed, and profiled, in this process)",
     )
     parser.add_argument(
-        "--no-spatial-grid",
-        action="store_true",
-        help="scale target: disable the spatial-hash reach cull (A/B "
-        "profiling; results are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--no-delta-epochs",
-        action="store_true",
-        help="scale target: disable movement-bounded delta-epoch skips "
-        "(A/B profiling; results are bit-identical either way)",
-    )
-    parser.add_argument(
         "--ab-check",
         action="store_true",
         help="scale target: before sweeping, run the smallest cell on the "
@@ -366,13 +354,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             except AssertionError as exc:
                 print(f"FAIL: {exc}", file=sys.stderr)
                 return 1
-        data = scale(
-            seeds=seeds,
-            quick=args.quick,
-            progress=progress,
-            spatial_grid=not args.no_spatial_grid,
-            delta_epochs=not args.no_delta_epochs,
-        )
+        data = scale(seeds=seeds, quick=args.quick, progress=progress)
         print(format_figure(data))
         if args.csv:
             path = write_csv(data, Path(args.csv) / "scale.csv")

@@ -55,29 +55,10 @@ class ScenarioConfig:
     deployment: str = "column"
     mobility: bool = True
     #: Route channel geometry through the epoch-invalidated link-state
-    #: cache.  Results are bit-identical either way (enforced by the
-    #: equivalence tests); disable only for A/B profiling.
+    #: cache (with its spatial-hash cull and delta epochs).  Results are
+    #: bit-identical either way (enforced by the equivalence tests);
+    #: ``False`` selects the scalar reference path.
     link_cache: bool = True
-    #: Cull broadcast rows to the transmitter's 3x3x3 spatial-hash cell
-    #: neighborhood (cell side = reach), so per-broadcast cost tracks
-    #: plausible receivers instead of n.  Bit-identical either way
-    #: (enforced by the grid equivalence matrix); disable only for A/B
-    #: profiling.  No effect when ``link_cache`` is off.
-    spatial_grid: bool = True
-    #: Movement-bounded delta-epochs: skip recomputing a stale cached pair
-    #: when the endpoints' accumulated displacement provably cannot have
-    #: brought it back inside delivery reach.  Bit-identical either way;
-    #: disable only for A/B profiling.  No effect when ``link_cache`` is off.
-    delta_epochs: bool = True
-    #: Recycle Arrival objects through a channel-owned free-list instead of
-    #: allocating one per delivery (the top allocation site after events).
-    #: Safe here because the MAC layer never retains arrivals past the
-    #: receive callback; raw-channel users who do retain them get fresh
-    #: allocations by default (the channel-level default is off).
-    arrival_pool: bool = True
-    #: Upper bound on free-listed Arrival objects (memory guard for
-    #: pathological delivery bursts; irrelevant when ``arrival_pool`` is off).
-    arrival_pool_cap: int = 4096
     forwarding: bool = True
     queue_limit: int = 1000
     interference_range_factor: float = 2.0
@@ -101,8 +82,6 @@ class ScenarioConfig:
             raise ValueError("data packet size must be positive")
         if self.sim_time_s <= 0:
             raise ValueError("simulation time must be positive")
-        if self.arrival_pool_cap < 0:
-            raise ValueError("arrival_pool_cap must be >= 0")
 
     def with_(self, **overrides: object) -> "ScenarioConfig":
         """Copy with field overrides (sweep helper)."""

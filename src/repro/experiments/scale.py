@@ -59,8 +59,6 @@ def scale_config(
     seed: int = 1,
     protocol: str = "EW-MAC",
     mobility: bool = True,
-    spatial_grid: bool = True,
-    delta_epochs: bool = True,
 ):
     """One scale-sweep cell config: tiled columns at the Table 2 density."""
     return table2_config(
@@ -72,8 +70,6 @@ def scale_config(
         side_m=scale_side_m(n_sensors),
         mobility=mobility,
         seed=seed,
-        spatial_grid=spatial_grid,
-        delta_epochs=delta_epochs,
     )
 
 
@@ -121,19 +117,16 @@ def scale(
     progress: Progress = None,
     protocol: str = "EW-MAC",
     mobility: bool = True,
-    spatial_grid: bool = True,
-    delta_epochs: bool = True,
 ) -> FigureData:
     """Run the scale sweep and return perf series keyed by counter name.
 
     Unlike the figure runners the series are *metrics*, not protocols:
     ``wall_time_s``, ``kevents_per_s`` (thousands of simulator events per
     wall-clock second), ``cache_hit_pct`` and ``grid_candidates_mean``
-    (mean spatial-hash candidate-set size per broadcast — ``n - 1`` when
-    the grid is off).  Only the first seed is used — replication averages
+    (mean spatial-hash candidate-set size per broadcast, against ``n - 1``
+    for a full scan).  Only the first seed is used — replication averages
     wall-clock noise into the signal instead of out of it, and the
-    determinism suite already pins the metrics.  ``spatial_grid`` /
-    ``delta_epochs`` expose the culls for A/B scaling comparisons.
+    determinism suite already pins the metrics.
     """
     nodes = QUICK_NODES if quick else SCALE_NODES
     sim_time_s = 8.0 if quick else 30.0
@@ -149,8 +142,6 @@ def scale(
             seed=seed,
             protocol=protocol,
             mobility=mobility,
-            spatial_grid=spatial_grid,
-            delta_epochs=delta_epochs,
         )
         start = time.perf_counter()
         result = run_scenario(config)

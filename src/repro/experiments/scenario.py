@@ -171,10 +171,8 @@ class Scenario:
             max_range_m=config.comm_range_m,
             interference_range_factor=config.interference_range_factor,
             use_link_cache=config.link_cache,
-            use_spatial_grid=config.spatial_grid,
-            use_delta_epochs=config.delta_epochs,
-            pool_arrivals=config.arrival_pool,
-            arrival_pool_cap=config.arrival_pool_cap,
+            # Safe here: no MAC retains an Arrival past its receive callback.
+            pool_arrivals=True,
         )
         self.timing = make_slot_timing(
             bitrate_bps=config.bitrate_bps,

@@ -28,7 +28,7 @@ from ..des.events import PRIORITY_HIGH
 from ..des.simulator import Simulator
 from .frame import Frame
 from .linkcache import LinkStateCache
-from .modem import ARRIVAL_POOL_CAP, AcousticModem, Arrival
+from .modem import AcousticModem, Arrival
 
 #: Paper Table 2 defaults.
 DEFAULT_BITRATE_BPS = 12_000.0
@@ -50,11 +50,12 @@ class ChannelStats:
     The spatial-hash counters describe the reach cull: ``grid_candidates``
     accumulates the candidate-set size (3x3x3 cell neighborhood, excluding
     self) per broadcast — divide by ``broadcasts`` for the mean scan width,
-    versus ``n - 1`` for the full scan — and ``grid_cells`` is a gauge of
-    currently occupied cells.  ``rows_skipped_delta`` counts stale pair
-    recomputes skipped by the movement-bounded delta-epoch test (the pair
-    was cached so deep out of reach that the endpoints' accumulated motion
-    could not have brought it back in reach).
+    versus ``n - 1`` for the scalar path's full scan — and ``grid_cells``
+    is a gauge of currently occupied cells.  Like the cache counters, both
+    stay 0 when the cache is disabled.  ``rows_skipped_delta`` counts
+    stale pair recomputes skipped by the movement-bounded delta-epoch test
+    (the pair was cached so deep out of reach that the endpoints'
+    accumulated motion could not have brought it back in reach).
     """
 
     broadcasts: int = 0
@@ -91,23 +92,17 @@ class AcousticChannel:
         interference_range_factor: Deliver (as interference) up to
             ``factor * max_range_m``; 1.0 reproduces the paper's model.
         use_link_cache: Route geometry queries through the epoch-invalidated
-            :class:`LinkStateCache` (bit-identical results either way; the
-            flag exists for the equivalence tests and A/B profiling).
-        use_spatial_grid: Cull broadcast rows to the 3x3x3 spatial-hash
-            neighborhood of the transmitter (bit-identical; A/B flag).
-            Ignored when the link cache is off.
-        use_delta_epochs: Skip recomputing stale pairs whose accumulated
-            endpoint motion provably cannot have brought them back in
-            reach (bit-identical; A/B flag).  Ignored without the cache.
+            :class:`LinkStateCache`, with its spatial-hash cull and
+            movement-bounded delta epochs (bit-identical results either
+            way; ``False`` is the scalar reference path the equivalence
+            tests and ``scale --ab-check`` compare against).
         pool_arrivals: Recycle :class:`Arrival` objects through a
-            free-list (repopulated at modem prune time) instead of
+            free-list (repopulated at modem prune time, bounded by
+            :data:`~repro.phy.modem.ARRIVAL_POOL_CAP`) instead of
             allocating one per delivery.  Off by default because external
             callers may legitimately retain Arrival references past the
             receive callback; the scenario layer — whose MACs never do —
-            turns it on via ``ScenarioConfig.arrival_pool``.
-        arrival_pool_cap: Upper bound on free-listed Arrivals, so
-            pathological delivery bursts cannot pin memory
-            (``ScenarioConfig.arrival_pool_cap``).
+            always turns it on.
     """
 
     def __init__(
@@ -121,10 +116,7 @@ class AcousticChannel:
         interference_range_factor: float = 1.0,
         fading: Optional[FadingProcess] = None,
         use_link_cache: bool = True,
-        use_spatial_grid: bool = True,
-        use_delta_epochs: bool = True,
         pool_arrivals: bool = False,
-        arrival_pool_cap: int = ARRIVAL_POOL_CAP,
     ) -> None:
         if bitrate_bps <= 0:
             raise ValueError("bitrate must be positive")
@@ -132,8 +124,6 @@ class AcousticChannel:
             raise ValueError("range must be positive")
         if interference_range_factor < 1.0:
             raise ValueError("interference_range_factor must be >= 1")
-        if arrival_pool_cap < 0:
-            raise ValueError("arrival_pool_cap must be >= 0")
         self.sim = sim
         self.bitrate_bps = bitrate_bps
         self.max_range_m = max_range_m
@@ -165,10 +155,9 @@ class AcousticChannel:
         self._members: Dict[int, Tuple[AcousticModem, Callable[[], Position]]] = {}
         #: Shared Arrival free-list (None = pooling disabled).  Modems
         #: return pruned arrivals here; ``_fan_out`` reuses them in place
-        #: of fresh allocations.  Bounded so pathological bursts cannot
-        #: pin memory.
+        #: of fresh allocations.  Bounded (``ARRIVAL_POOL_CAP``) so
+        #: pathological bursts cannot pin memory.
         self.arrival_pool: Optional[list] = [] if pool_arrivals else None
-        self.arrival_pool_cap = arrival_pool_cap
         self.link_cache: Optional[LinkStateCache] = None
         if use_link_cache:
             self.link_cache = LinkStateCache(
@@ -178,8 +167,6 @@ class AcousticChannel:
                 self.max_range_m,
                 self.max_range_m * self.interference_range_factor,
                 self.stats,
-                use_spatial_grid=use_spatial_grid,
-                use_delta_epochs=use_delta_epochs,
             )
 
     # ------------------------------------------------------------------
@@ -254,7 +241,7 @@ class AcousticChannel:
         """Deliver ``frame`` to every modem in range, after propagation.
 
         Both paths produce an identical in-reach target list — the cached
-        one from the vector kernel's precomputed per-row fan-out, the
+        one from the link-state cache's precomputed per-row fan-out, the
         uncached one from a fresh scalar scan — and hand it to the shared
         :meth:`_fan_out`, so Arrival construction and scheduling cannot
         diverge between them.

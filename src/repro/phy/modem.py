@@ -34,9 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: level values, same order), so the threshold is purely a speed knob.
 VECTOR_SCAN_MIN = 16
 
-#: Default cap on the shared Arrival free-list (see
-#: ``AcousticChannel.arrival_pool``); per-channel via the
-#: ``arrival_pool_cap`` constructor argument / ``ScenarioConfig`` field.
+#: Cap on the shared Arrival free-list (see ``AcousticChannel.arrival_pool``),
+#: read once when a modem is constructed; 0 disables recycling.
 ARRIVAL_POOL_CAP = 4096
 
 
@@ -154,7 +153,7 @@ class AcousticModem:
         self._per_model = channel.per_model
         self._per_rng = channel.per_rng
         self._push_at = sim.push_at
-        self._pool_cap = channel.arrival_pool_cap
+        self._pool_cap = ARRIVAL_POOL_CAP
         self.on_receive: Optional[Callable[[Frame, Arrival], None]] = None
         self.on_rx_failure: Optional[Callable[[Arrival, RxOutcome], None]] = None
         self._tx_intervals: List[_TxInterval] = []

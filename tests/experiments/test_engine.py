@@ -133,6 +133,10 @@ def test_apply_overrides_validates_fields():
     assert small.n_sensors == 6
     with pytest.raises(EngineError, match="unknown config override"):
         apply_overrides(base, {"bogus_field": 1})
+    # Removed geometry knobs: the mechanics always run now.
+    for removed in ("spatial_grid", "delta_epochs", "arrival_pool", "arrival_pool_cap"):
+        with pytest.raises(EngineError, match="unknown config override"):
+            apply_overrides(base, {removed: True})
     with pytest.raises(EngineError, match="bad config override"):
         apply_overrides(base, {"n_sensors": -5})
 

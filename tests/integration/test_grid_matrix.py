@@ -1,10 +1,12 @@
 """Grid / delta-epoch / arrival-pool equivalence across the full MAC matrix.
 
-Mirrors ``test_cache_equivalence.py``: the spatial-hash reach cull, the
-movement-bounded delta-epoch skip and the Arrival free-list are pure
-mechanics — every figure metric must come out *exactly* equal with them on
-or off, across all five MACs, with and without mobility, under chaos
-plans, and composed with block fading at the channel level.
+Mirrors ``test_cache_equivalence.py``: the spatial-hash reach cull and the
+movement-bounded delta-epoch skip always run on the cached path, so every
+figure metric must come out *exactly* equal to the scalar
+``link_cache=False`` reference, across all five MACs, with and without
+mobility, under chaos plans, and composed with block fading at the
+channel level.  The Arrival free-list is compared against a zero cap,
+which recycles nothing.
 """
 
 import json
@@ -14,6 +16,7 @@ import pytest
 from repro.experiments.chaos import chaos_plan
 from repro.experiments.config import table2_config
 from repro.experiments.scenario import run_scenario
+from repro.phy import modem as modem_mod
 
 
 def _flat(result):
@@ -21,8 +24,8 @@ def _flat(result):
 
 
 def _pair(config):
-    culled = run_scenario(config.with_(spatial_grid=True, delta_epochs=True))
-    full = run_scenario(config.with_(spatial_grid=False, delta_epochs=False))
+    culled = run_scenario(config)
+    full = run_scenario(config.with_(link_cache=False))
     return culled, full
 
 
@@ -60,7 +63,10 @@ class TestGridEquivalence:
         )
         culled, full = _pair(config)
         assert _flat(culled) == _flat(full)
-        assert culled.perf.grid_candidates < full.perf.grid_candidates
+        # The cull actually drops part of each row: fewer candidates than
+        # the n - 1 receivers a full scan visits per broadcast.
+        n = config.n_sensors + config.n_sinks
+        assert culled.perf.grid_candidates < culled.perf.broadcasts * (n - 1)
 
     @pytest.mark.parametrize("factor", [1.0, 3.0])
     def test_interference_range_factor_identical(self, factor):
@@ -91,7 +97,7 @@ class TestGridEquivalence:
 
 class TestArrivalPoolEquivalence:
     @pytest.mark.parametrize("protocol", ["EW-MAC", "ALOHA"])
-    def test_pool_identical(self, protocol):
+    def test_pool_identical(self, protocol, monkeypatch):
         config = table2_config(
             protocol=protocol,
             sim_time_s=40.0,
@@ -99,13 +105,15 @@ class TestArrivalPoolEquivalence:
             seed=23,
             mobility=True,
         )
-        pooled = run_scenario(config.with_(arrival_pool=True))
-        fresh = run_scenario(config.with_(arrival_pool=False))
+        pooled = run_scenario(config)
+        # Cap 0: every pruned Arrival is dropped, so each delivery allocates.
+        monkeypatch.setattr(modem_mod, "ARRIVAL_POOL_CAP", 0)
+        fresh = run_scenario(config)
         assert _flat(pooled) == _flat(fresh)
 
 
 class TestFadingEquivalence:
-    """Channel-level: fading composes with grid-culled levels losslessly."""
+    """Channel-level: fading composes with cached, grid-culled levels losslessly."""
 
     @pytest.mark.parametrize("mobile", [False, True])
     def test_broadcast_arrivals_identical_under_fading(self, mobile):
@@ -120,8 +128,7 @@ class TestFadingEquivalence:
             sim = Simulator()
             channel = AcousticChannel(
                 sim,
-                use_spatial_grid=culled,
-                use_delta_epochs=culled,
+                use_link_cache=culled,
                 fading=RayleighBlockFading(coherence_s=2.0, seed=5),
                 interference_range_factor=2.0,
             )

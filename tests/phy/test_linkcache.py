@@ -70,9 +70,9 @@ class TestEpochInvalidation:
         channel = AcousticChannel(sim)
         node = Node(sim, 0, Position(0, 0, 0), channel)
         other = Node(sim, 1, Position(1000, 0, 0), channel)
-        epoch = channel.link_cache.epoch
+        epoch = channel.link_cache.total_epoch
         node.position = Position(0, 0, 100)
-        assert channel.link_cache.epoch == epoch + 1
+        assert channel.link_cache.total_epoch == epoch + 1
         assert channel.distance_m(0, 1) == pytest.approx(
             node.position.distance_to(other.position)
         )
@@ -83,9 +83,9 @@ class TestEpochInvalidation:
         node = Node(sim, 0, Position(0, 0, 0), channel)
         Node(sim, 1, Position(1000, 0, 0), channel)
         channel.distance_m(0, 1)
-        epoch = channel.link_cache.epoch
+        epoch = channel.link_cache.total_epoch
         node.position = Position(0, 0, 0)
-        assert channel.link_cache.epoch == epoch
+        assert channel.link_cache.total_epoch == epoch
         channel.distance_m(0, 1)
         assert channel.stats.cache_hits == 1
 
@@ -103,10 +103,10 @@ class TestNeighborSemantics:
             [Position(0, 0, 0), Position(1000, 0, 0), Position(0, 1000, 0)]
         )
         assert channel.neighbors_of(0) == (1, 2)
-        epoch = channel.link_cache.epoch
+        epoch = channel.link_cache.total_epoch
         channel.modem_of(1).enabled = False
         # Liveness is read fresh: no invalidation needed, no stale neighbour.
-        assert channel.link_cache.epoch == epoch
+        assert channel.link_cache.total_epoch == epoch
         assert channel.neighbors_of(0) == (2,)
         channel.modem_of(1).enabled = True
         assert channel.neighbors_of(0) == (1, 2)

@@ -73,16 +73,16 @@ class TestArrivalPool:
         assert len(channel.arrival_pool) > 0
         assert len(channel.arrival_pool) <= modem_mod.ARRIVAL_POOL_CAP
 
-    def test_pool_capacity_is_bounded(self):
+    def test_pool_capacity_is_bounded(self, monkeypatch):
         from repro.acoustic.geometry import Position
         from repro.des.simulator import Simulator
         from repro.phy.channel import AcousticChannel
         from repro.phy.frame import FrameType, control_frame
 
-        # The cap is a channel-level knob now (surfaced as
-        # ScenarioConfig.arrival_pool_cap), not a module constant patch.
+        # Modems read the module-level cap once, when they are created.
+        monkeypatch.setattr(modem_mod, "ARRIVAL_POOL_CAP", 2)
         sim = Simulator()
-        channel = AcousticChannel(sim, pool_arrivals=True, arrival_pool_cap=2)
+        channel = AcousticChannel(sim, pool_arrivals=True)
         positions = [Position(0, 0, 0), Position(900, 0, 0), Position(0, 900, 0)]
         for node_id in range(len(positions)):
             channel.create_modem(node_id, lambda i=node_id: positions[i])
@@ -96,37 +96,34 @@ class TestArrivalPool:
         assert 0 < len(channel.arrival_pool) <= 2
 
     @pytest.mark.parametrize("seed", [7, 31])
-    def test_pooled_run_identical_to_fresh_allocation(self, seed):
+    def test_pooled_run_identical_to_fresh_allocation(self, monkeypatch, seed):
         config = _config(seed)
-        pooled = run_scenario(config.with_(arrival_pool=True))
-        fresh = run_scenario(config.with_(arrival_pool=False))
+        pooled = run_scenario(config)
+        monkeypatch.setattr(modem_mod, "ARRIVAL_POOL_CAP", 0)
+        fresh = run_scenario(config)
         assert _flat(pooled) == _flat(fresh)
 
-    def test_config_cap_bounds_live_recycled_objects(self):
+    def test_config_cap_bounds_live_recycled_objects(self, monkeypatch):
         from repro.experiments.scenario import Scenario
 
-        # End-to-end through ScenarioConfig: a tiny cap must bound the
-        # free list for the whole run without changing any figure metric.
-        config = _config(seed=7).with_(arrival_pool=True, arrival_pool_cap=3)
-        scenario = Scenario(config)
-        assert scenario.channel.arrival_pool_cap == 3
+        # End to end through a scenario: a tiny cap must bound the free
+        # list for the whole run without changing any figure metric.
+        default = run_scenario(_config(seed=7))
+        monkeypatch.setattr(modem_mod, "ARRIVAL_POOL_CAP", 3)
+        scenario = Scenario(_config(seed=7))
+        channel = scenario.channel
+        assert channel.modem_of(channel.node_ids[0])._pool_cap == 3
         capped = scenario.run_steady_state()
         assert scenario.channel.arrival_pool is not None
         assert len(scenario.channel.arrival_pool) <= 3
-        default = run_scenario(_config(seed=7).with_(arrival_pool=True))
         assert _flat(capped) == _flat(default)
 
-    def test_cap_zero_disables_recycling(self):
-        config = _config(seed=7).with_(arrival_pool=True, arrival_pool_cap=0)
+    def test_cap_zero_disables_recycling(self, monkeypatch):
         from repro.experiments.scenario import Scenario
 
-        scenario = Scenario(config)
+        default = run_scenario(_config(seed=7))
+        monkeypatch.setattr(modem_mod, "ARRIVAL_POOL_CAP", 0)
+        scenario = Scenario(_config(seed=7))
         result = scenario.run_steady_state()
         assert len(scenario.channel.arrival_pool) == 0
-        assert _flat(result) == _flat(
-            run_scenario(_config(seed=7).with_(arrival_pool=False))
-        )
-
-    def test_negative_cap_rejected(self):
-        with pytest.raises(ValueError):
-            _config(seed=7).with_(arrival_pool_cap=-1)
+        assert _flat(result) == _flat(default)

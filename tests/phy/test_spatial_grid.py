@@ -53,8 +53,8 @@ class TestCellBoundaries:
         _, channel, _ = build_channel(
             [Position(1499.0, 1499.0, 0), Position(1500.0, 1500.0, 0)]
         )
-        kernel = channel.link_cache._kernel
-        assert sum(len(v) for v in kernel._cells.values()) == 2
+        cache = channel.link_cache
+        assert sum(len(v) for v in cache._cells.values()) == 2
         assert delivered_ids(channel, 0) == [1]
 
     def test_nodes_outside_deployment_volume(self):
@@ -79,8 +79,8 @@ class TestMembershipChanges:
         holder.append(Position(0, 900, 0))
         channel.create_modem(2, lambda: holder[2])
         assert delivered_ids(channel, 0) == [1, 2]
-        kernel = channel.link_cache._kernel
-        assert sum(len(v) for v in kernel._cells.values()) == 3
+        cache = channel.link_cache
+        assert sum(len(v) for v in cache._cells.values()) == 3
 
     def test_departure_from_neighborhood_clears_reach(self):
         # A node whose cell leaves the 3x3x3 neighborhood must stop being
@@ -122,38 +122,36 @@ class TestMembershipChanges:
 
 
 class TestDeltaEpochs:
-    def build(self, positions):
-        # Grid off isolates the delta-epoch skip: with the grid on, far
-        # nodes leave the candidate set entirely and the skip never fires.
-        return build_channel(
-            positions, use_spatial_grid=False, use_delta_epochs=True
-        )
+    # The skip only sees candidates, so its far pairs sit in the next cell
+    # (1500-3000 m at reach 1500): inside the 3x3x3 neighborhood but out of
+    # reach.  Farther nodes leave the candidate set and are never stale.
 
     def test_small_motion_of_far_pair_is_skipped(self):
-        _, channel, holder = self.build([Position(0, 0, 0), Position(5000.0, 0, 0)])
+        _, channel, holder = build_channel([Position(0, 0, 0), Position(2900.0, 0, 0)])
         assert delivered_ids(channel, 0) == []
         misses = channel.stats.cache_misses
-        holder[1] = Position(5010.0, 0, 0)  # 10 m of motion, 3500 m margin
+        holder[1] = Position(2910.0, 0, 0)  # 10 m of motion, 1400 m margin
         channel.note_position_change(1)
         assert delivered_ids(channel, 0) == []
         assert channel.stats.rows_skipped_delta == 1
         assert channel.stats.cache_misses == misses  # no recompute happened
 
     def test_point_query_after_skip_recomputes_on_demand(self):
-        _, channel, holder = self.build([Position(0, 0, 0), Position(5000.0, 0, 0)])
+        _, channel, holder = build_channel([Position(0, 0, 0), Position(2900.0, 0, 0)])
         delivered_ids(channel, 0)
-        holder[1] = Position(5010.0, 0, 0)
+        holder[1] = Position(2910.0, 0, 0)
         channel.note_position_change(1)
         delivered_ids(channel, 0)  # skip leaves the pair's scalars stale
-        assert channel.distance_m(0, 1) == pytest.approx(5010.0)
-        assert channel.propagation_delay_s(0, 1) == pytest.approx(5010.0 / 1500.0)
+        assert channel.stats.rows_skipped_delta == 1
+        assert channel.distance_m(0, 1) == pytest.approx(2910.0)
+        assert channel.propagation_delay_s(0, 1) == pytest.approx(2910.0 / 1500.0)
 
     def test_accumulated_motion_forces_recompute(self):
-        _, channel, holder = self.build([Position(0, 0, 0), Position(5000.0, 0, 0)])
+        _, channel, holder = build_channel([Position(0, 0, 0), Position(2900.0, 0, 0)])
         delivered_ids(channel, 0)
         # Many small hops: each individually under the margin, the sum not.
-        for step in range(1, 40):
-            holder[1] = Position(5000.0 - step * 100.0, 0, 0)
+        for step in range(1, 19):
+            holder[1] = Position(2900.0 - step * 100.0, 0, 0)
             channel.note_position_change(1)
             assert (delivered_ids(channel, 0) == [1]) == (
                 holder[1].x <= 1500.0
@@ -161,7 +159,7 @@ class TestDeltaEpochs:
         assert channel.distance_m(0, 1) == pytest.approx(1100.0)
 
     def test_in_reach_pairs_never_skipped(self):
-        _, channel, holder = self.build([Position(0, 0, 0), Position(1000.0, 0, 0)])
+        _, channel, holder = build_channel([Position(0, 0, 0), Position(1000.0, 0, 0)])
         delivered_ids(channel, 0)
         holder[1] = Position(1001.0, 0, 0)
         channel.note_position_change(1)
@@ -226,11 +224,16 @@ class TestGridCounters:
     def test_grid_disabled_counts_full_scan_width(self):
         from repro.phy.frame import FrameType, control_frame
 
+        # The scalar reference path has no grid: it scans every receiver,
+        # so deliveries plus out-of-range skips cover all n - 1 of them,
+        # and the grid counters stay 0.
         positions = [Position(0, 0, 0), Position(1000, 0, 0), Position(40_000, 0, 0)]
-        sim, channel, _ = build_channel(positions, use_spatial_grid=False)
+        sim, channel, _ = build_channel(positions, use_link_cache=False)
         sim.schedule(
             0.0, channel.modem_of(0).transmit, control_frame(FrameType.RTS, 0, 1, timestamp=0.0)
         )
         sim.run()
-        assert channel.stats.grid_candidates == len(positions) - 1
-        assert channel.stats.grid_cells == 0
+        stats = channel.stats
+        assert stats.deliveries + stats.out_of_range_skips == len(positions) - 1
+        assert stats.grid_candidates == 0
+        assert stats.grid_cells == 0

@@ -1,6 +1,6 @@
-"""Unit tests for the vectorized kernel's per-node epoch semantics.
+"""Unit tests for the link-state cache's per-node epoch semantics.
 
-Complements ``test_linkcache.py`` (which covers the facade API): these
+Complements ``test_linkcache.py`` (which covers the query API): these
 tests pin the *granularity* of invalidation — moving one node must dirty
 exactly that node's row and column, a static deployment must compute each
 pair exactly once, and mid-run registration must match the uncached path.
@@ -155,14 +155,14 @@ class TestMidRunRegistration:
 
 class TestKernelGrowth:
     def test_array_growth_past_initial_capacity(self):
-        # The kernel starts with capacity 64; registering past it must
+        # The cache starts with capacity 64; registering past it must
         # preserve coordinates and epochs across the array doubling.
         positions = [Position(float(i), 0, 0) for i in range(100)]
         _, channel, _ = build_channel(positions)
-        kernel = channel.link_cache._kernel
-        assert kernel._n == 100
+        cache = channel.link_cache
+        assert cache._n == 100
         assert channel.distance_m(0, 99) == pytest.approx(99.0)
-        np.testing.assert_array_equal(kernel._epoch[:100], np.zeros(100))
+        np.testing.assert_array_equal(cache._epoch[:100], np.zeros(100))
 
     def test_self_pair_never_delivered(self):
         positions = [Position(0, 0, 0), Position(100, 0, 0)]

@@ -2,19 +2,24 @@
 
 The spatial hash and the movement-bounded delta-epoch skip are allowed to
 avoid work, never to change answers: a culled broadcast must fan out to
-exactly the receivers the full O(n) scan would have picked, with exactly
-the same delays and levels, for any geometry — including nodes spread far
-outside each other's 3x3x3 cell neighborhoods (where the cull actually
-bites) and after arbitrary interleaved moves (where the skip's
-displacement bound has to stay conservative).
+exactly the receivers the scalar ``use_link_cache=False`` scan picks, with
+exactly the same delays and levels, for any geometry — including nodes
+spread far outside each other's 3x3x3 cell neighborhoods (where the cull
+actually bites) and after arbitrary interleaved moves (where the skip's
+displacement bound has to stay conservative).  Both channels are compared
+through the public API only, since the scalar channel has no link cache.
+The same comparison covers LRU row eviction under a shrunken row budget.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.acoustic.geometry import Position
 from repro.des.simulator import Simulator
+from repro.phy import linkcache as linkcache_mod
 from repro.phy.channel import AcousticChannel
+from repro.phy.frame import FrameType, control_frame
 
 # Wide spread (many cells at the 1500 m cell side) so candidate sets are
 # real subsets; depth includes 0 so surface sinks are represented.
@@ -33,18 +38,16 @@ moves_st = st.lists(
 )
 
 
-def build_pair(positions):
-    """Grid+delta channel and full-scan channel over shared mutable geometry."""
+def build_pair(positions, interference_range_factor=2.0):
+    """Cached channel and scalar reference channel over shared geometry."""
     channels = []
     holders = []
-    for culled in (True, False):
+    for cached in (True, False):
         sim = Simulator()
         channel = AcousticChannel(
             sim,
-            use_link_cache=True,
-            use_spatial_grid=culled,
-            use_delta_epochs=culled,
-            interference_range_factor=2.0,
+            use_link_cache=cached,
+            interference_range_factor=interference_range_factor,
         )
         holder = list(positions)
         for node_id in range(len(holder)):
@@ -55,10 +58,14 @@ def build_pair(positions):
 
 
 def fan_out(channel, tx_id):
-    """(rx_id, delay, level) triples the broadcast path would schedule."""
-    cache = channel.link_cache
-    row = cache.broadcast_row(tx_id)
-    return [(rx, delay, level) for rx, _, delay, level in cache.deliveries(row)]
+    """(rx_id, delay, level) triples ``broadcast`` hands to ``_fan_out``."""
+    captured = []
+    channel._fan_out = lambda tx, frame, duration, targets: captured.extend(
+        (rx, delay, level) for rx, _, delay, level in targets
+    )
+    frame = control_frame(FrameType.RTS, tx_id, tx_id, timestamp=0.0)
+    channel.broadcast(channel.modem_of(tx_id), frame, 0.01)
+    return captured
 
 
 def assert_identical(culled, full, n):
@@ -68,14 +75,16 @@ def assert_identical(culled, full, n):
         for rx in range(n):
             if tx == rx:
                 continue
-            a = culled.link_cache.link(tx, rx)
-            b = full.link_cache.link(tx, rx)
-            assert (a.distance_m, a.delay_s, a.level_db) == (
-                b.distance_m,
-                b.delay_s,
-                b.level_db,
+            assert culled.distance_m(tx, rx) == full.distance_m(tx, rx)
+            assert culled.propagation_delay_s(tx, rx) == full.propagation_delay_s(
+                tx, rx
             )
-            assert (a.in_reach, a.in_decode_range) == (b.in_reach, b.in_decode_range)
+
+
+def move_both(pair, holders, idx, new):
+    for channel, holder in zip(pair, holders):
+        holder[idx] = new
+        channel.note_position_change(idx)
 
 
 @given(positions=positions_st)
@@ -94,10 +103,9 @@ def test_grid_identical_through_interleaved_moves(positions, moves):
     for raw_idx, dx, dy in moves:
         idx = raw_idx % n
         old = holder_c[idx]
-        new = Position(old.x + dx, old.y + dy, old.z)
-        for channel, holder in ((culled, holder_c), (full, holder_f)):
-            holder[idx] = new
-            channel.note_position_change(idx)
+        move_both(
+            (culled, full), (holder_c, holder_f), idx, Position(old.x + dx, old.y + dy, old.z)
+        )
         assert_identical(culled, full, n)
 
 
@@ -131,63 +139,67 @@ boundary_moves_st = st.lists(
 @given(positions=near_positions_st, moves=boundary_moves_st)
 @settings(max_examples=60, deadline=None)
 def test_inreach_and_delta_skips_identical_across_reach_boundary(positions, moves):
-    """The displacement bound vs eager recompute, pairs crossing reach.
+    """The displacement bound vs the scalar scan, pairs crossing reach.
 
-    Isolates the delta-epoch bound (grid off on both sides): small
-    hops accumulate until a pair drifts out of decode range, out of
+    Small hops accumulate until a pair drifts out of decode range, out of
     interference reach, and back in — every crossing must recompute, every
     provably-stable hop may skip, and the fan-out must never differ.
     """
     n = len(positions)
-    channels = []
-    holders = []
-    for skips in (True, False):
-        sim = Simulator()
-        channel = AcousticChannel(
-            sim,
-            use_spatial_grid=False,
-            use_delta_epochs=skips,
-            interference_range_factor=2.0,
-        )
-        holder = list(positions)
-        for node_id in range(n):
-            channel.create_modem(node_id, lambda i=node_id, h=holder: h[i])
-        channels.append(channel)
-        holders.append(holder)
-    assert_identical(channels[0], channels[1], n)
+    culled, full, holder_c, holder_f = build_pair(positions)
+    assert_identical(culled, full, n)
     for raw_idx, dx, dy in moves:
         idx = raw_idx % n
-        old = holders[0][idx]
-        new = Position(old.x + dx, old.y + dy, old.z)
-        for channel, holder in zip(channels, holders):
-            holder[idx] = new
-            channel.note_position_change(idx)
-        assert_identical(channels[0], channels[1], n)
+        old = holder_c[idx]
+        move_both(
+            (culled, full), (holder_c, holder_f), idx, Position(old.x + dx, old.y + dy, old.z)
+        )
+        assert_identical(culled, full, n)
 
 
 @given(positions=positions_st, moves=moves_st)
 @settings(max_examples=40, deadline=None)
 def test_delta_epochs_alone_identical_through_moves(positions, moves):
-    """Isolate the displacement-bound skip from the grid cull."""
+    """The displacement-bound skip at reach == decode range (factor 1)."""
     n = len(positions)
-    channels = []
-    holders = []
-    for delta in (True, False):
-        sim = Simulator()
-        channel = AcousticChannel(
-            sim, use_spatial_grid=False, use_delta_epochs=delta
-        )
-        holder = list(positions)
-        for node_id in range(n):
-            channel.create_modem(node_id, lambda i=node_id, h=holder: h[i])
-        channels.append(channel)
-        holders.append(holder)
-    assert_identical(channels[0], channels[1], n)
+    culled, full, holder_c, holder_f = build_pair(positions, interference_range_factor=1.0)
+    assert_identical(culled, full, n)
     for raw_idx, dx, dy in moves:
         idx = raw_idx % n
-        old = holders[0][idx]
-        new = Position(old.x + dx, old.y + dy, old.z)
-        for channel, holder in zip(channels, holders):
-            holder[idx] = new
-            channel.note_position_change(idx)
-        assert_identical(channels[0], channels[1], n)
+        old = holder_c[idx]
+        move_both(
+            (culled, full), (holder_c, holder_f), idx, Position(old.x + dx, old.y + dy, old.z)
+        )
+        assert_identical(culled, full, n)
+
+
+def test_lru_row_eviction_identical_through_moves(monkeypatch):
+    """Evicted rows rebuild exactly, interleaved with moves.
+
+    At the default budget ``max_rows = budget // n`` is at least n for
+    every n <= 2000, so eviction needs thousands of nodes.  A 300-entry
+    budget lets a 30-node channel hold only 16 rows instead.
+    """
+    monkeypatch.setattr(linkcache_mod, "DEFAULT_ROW_BUDGET_ENTRIES", 300)
+    rng = np.random.default_rng(3)
+    n = 30
+    positions = [
+        Position(*(float(v) for v in rng.uniform(0.0, 4000.0, size=3))) for _ in range(n)
+    ]
+    culled, full, holder_c, holder_f = build_pair(positions)
+    cache = culled.link_cache
+    assert cache._max_rows == 16
+    assert_identical(culled, full, n)
+    for _ in range(8):
+        idx = int(rng.integers(n))
+        old = holder_c[idx]
+        dx, dy, dz = (float(v) for v in rng.uniform(-400.0, 400.0, size=3))
+        move_both(
+            (culled, full),
+            (holder_c, holder_f),
+            idx,
+            Position(old.x + dx, old.y + dy, max(0.0, old.z + dz)),
+        )
+        assert_identical(culled, full, n)
+    # Thirty transmitters, sixteen rows: the rest were evicted.
+    assert len(cache._rows) == cache._max_rows < n

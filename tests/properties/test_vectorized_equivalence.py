@@ -1,6 +1,6 @@
-"""Property tests: the vectorized kernel is *bit-identical* to scalar math.
+"""Property tests: the vectorized link-state cache is *bit-identical* to scalar math.
 
-The whole design contract of :mod:`repro.phy.vectorized` is that routing
+The whole design contract of :mod:`repro.phy.linkcache` is that routing
 geometry through NumPy changes nothing — not "agrees to 1e-9", but equal
 to the last bit, so cached and uncached simulations produce identical
 event streams.  These properties drive random geometries (including nodes
