@@ -12,11 +12,9 @@ as a reproduction report (captured with ``-s`` or in the benchmark log).
 
 from __future__ import annotations
 
-import inspect
-
 import pytest
 
-from repro.experiments.engine import observe_sweeps
+from repro.experiments.engine import observe_sweeps, run_plan
 from repro.experiments.figures import FigureData
 from repro.experiments.report import format_figure
 
@@ -69,14 +67,15 @@ def check_figure(data: FigureData, figure_id: str) -> None:
 def one_shot(benchmark, request):
     """Run the expensive artifact generation exactly once under timing.
 
-    With ``--use-cache`` the figure runners reuse the on-disk result
-    cache (the CI smoke jobs warm it across runs) and the cache traffic
-    is printed after the run.
+    Sweep benchmarks time ``run_plan(<id>_plan(...), ...)``.  With
+    ``--use-cache`` those runs reuse the on-disk result cache (the CI
+    smoke jobs warm it across runs) and the cache traffic is printed
+    after the run; single-scenario benchmarks always compute.
     """
     use_cache = request.config.getoption("--use-cache")
 
     def run(fn, *args, **kwargs):
-        if use_cache and "cache" in inspect.signature(fn).parameters:
+        if use_cache and fn is run_plan:
             kwargs.setdefault("cache", True)
         with observe_sweeps() as observer:
             result = benchmark.pedantic(

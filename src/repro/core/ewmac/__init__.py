@@ -1,6 +1,13 @@
 """EW-MAC: the paper's primary contribution (Sec. 4)."""
 
-from .protocol import AskedContext, AskingContext, EwMac, ExtraCase, ExtraStats
+from .protocol import (
+    AskedContext,
+    AskingContext,
+    EwMac,
+    EwMacEarliest,
+    ExtraCase,
+    ExtraStats,
+)
 from .schedule import NeighborScheduleTracker, ProtectedInterval
 from .states import TRANSITIONS, EwState, Fig3StateMachine, InvalidTransition
 
@@ -8,6 +15,7 @@ __all__ = [
     "AskedContext",
     "AskingContext",
     "EwMac",
+    "EwMacEarliest",
     "EwState",
     "ExtraCase",
     "ExtraStats",

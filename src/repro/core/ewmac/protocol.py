@@ -699,3 +699,15 @@ class EwMac(SlottedMac):
             violations.append(
                 f"{prefix}: asked context (peer {self._asked.peer}) with no live expiry"
             )
+
+
+class EwMacEarliest(EwMac):
+    """EW-MAC sending every EXR at the earliest feasible instant.
+
+    The abl-exr-randomization ablation's comparison arm: a registered
+    protocol rather than a post-construction flag, so the variant lives in
+    the cell config (picklable, and covered by the result-cache key).
+    """
+
+    name = "EW-MAC-earliest"
+    exr_randomize = False

@@ -1,8 +1,8 @@
-"""Experiment harness: Table 2 configs, scenarios, sweeps, figure runners."""
+"""Experiment harness: Table 2 configs, scenarios, sweeps, figure plans."""
 
 from ..faults import FaultPlan, FaultReport
 from .cache import ResultCache, cell_key, code_version
-from .chaos import CHAOS_PROTOCOLS, ChaosSummary, chaos, chaos_figure_plan, chaos_plan
+from .chaos import CHAOS_PROTOCOLS, ChaosSummary, chaos_figure_plan, chaos_plan
 from .engine import (
     PAPER_PROTOCOLS,
     EngineError,
@@ -23,10 +23,10 @@ from .engine import (
     service_targets,
 )
 from .config import TABLE2, ScenarioConfig, table2_config
-from .figures import ALL_FIGURES, ALL_PLANS, PAPER_EXPECTATIONS, FigureData
+from .figures import ALL_PLANS, PAPER_EXPECTATIONS, FigureData
 from .parallel import CellFailure, ParallelSweepRunner, SweepCell, expand_cells
 from .report import format_figure, write_csv
-from .ablations import ALL_ABLATIONS
+from .ablations import ABLATION_PLANS
 from .scenario import Scenario, ScenarioResult, run_batch_scenario, run_scenario
 from .timeline import (
     TimelineEntry,
@@ -36,8 +36,7 @@ from .timeline import (
 )
 
 __all__ = [
-    "ALL_ABLATIONS",
-    "ALL_FIGURES",
+    "ABLATION_PLANS",
     "ALL_PLANS",
     "CHAOS_PROTOCOLS",
     "CellFailure",
@@ -47,7 +46,6 @@ __all__ = [
     "FaultReport",
     "FigureData",
     "FigurePlan",
-    "chaos",
     "chaos_figure_plan",
     "chaos_plan",
     "TimelineEntry",

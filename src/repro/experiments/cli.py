@@ -17,18 +17,15 @@ from __future__ import annotations
 
 import argparse
 import ast
-import inspect
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .ablations import ALL_ABLATIONS
+from .ablations import ABLATION_PLANS
 from .config import TABLE2
-from .engine import EngineError, observe_sweeps
-from .figures import ALL_FIGURES
+from .engine import EngineError, GridResults, _plan_factories, observe_sweeps
+from .figures import ALL_PLANS
 from .report import format_figure, write_csv
-
-_RUNNERS = {**ALL_FIGURES, **ALL_ABLATIONS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,8 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "target",
-        choices=sorted(_RUNNERS)
-        + ["all", "ablations", "chaos", "scale", "serve", "table2", "report"],
+        choices=sorted(_plan_factories())
+        + ["all", "ablations", "scale", "serve", "table2", "report"],
         help="figure or ablation to regenerate ('all' = paper figures, "
         "'ablations' = every ablation, 'chaos' = seeded fault-injection "
         "robustness sweep, 'scale' = wall-clock scaling sweep over node "
@@ -211,27 +208,14 @@ def parse_overrides(pairs: List[str]) -> Dict[str, object]:
     return overrides
 
 
-def _engine_kwargs(runner, args: argparse.Namespace) -> Dict[str, object]:
-    """Sweep-engine kwargs for runners that support them.
-
-    The figure runners route through the parallel engine; the ablation
-    runners drive scenarios directly (their tweaks are closures) and take
-    no engine arguments, so only the parameters a runner declares are
-    passed.
-    """
-    supported = inspect.signature(runner).parameters
-    kwargs: Dict[str, object] = {}
-    if "workers" in supported:
-        kwargs["workers"] = None if args.workers == 0 else args.workers
-    if "cache" in supported:
-        kwargs["cache"] = not args.no_cache
-    if "cell_timeout_s" in supported and args.cell_timeout is not None:
-        kwargs["cell_timeout_s"] = args.cell_timeout
-    if "checkpoint_every_s" in supported and args.checkpoint_every is not None:
-        kwargs["checkpoint_every_s"] = args.checkpoint_every
-    if "overrides" in supported and args.override:
-        kwargs["overrides"] = parse_overrides(args.override)
-    return kwargs
+def _engine_kwargs(args: argparse.Namespace) -> Dict[str, object]:
+    """Sweep-engine kwargs from the CLI flags (every target takes them all)."""
+    return {
+        "workers": None if args.workers == 0 else args.workers,
+        "cache": not args.no_cache,
+        "cell_timeout_s": args.cell_timeout,
+        "checkpoint_every_s": args.checkpoint_every,
+    }
 
 
 def _print_table2() -> None:
@@ -258,20 +242,12 @@ def _finish_observed(observer, cache_enabled: bool) -> int:
 def _serve(args: argparse.Namespace) -> int:
     from ..service.api import serve
 
-    run_kwargs: Dict[str, object] = {
-        "workers": None if args.workers == 0 else args.workers,
-        "cache": not args.no_cache,
-    }
-    if args.cell_timeout is not None:
-        run_kwargs["cell_timeout_s"] = args.cell_timeout
-    if args.checkpoint_every is not None:
-        run_kwargs["checkpoint_every_s"] = args.checkpoint_every
     return serve(
         host=args.host,
         port=args.port,
         store_path=args.store,
         n_service_workers=args.service_workers,
-        run_kwargs=run_kwargs,
+        run_kwargs=_engine_kwargs(args),
         allow_shutdown=args.allow_shutdown,
         quiet=not args.http_log,
         lease_s=args.lease_s,
@@ -312,38 +288,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     progress = (lambda msg: print(f"  .. {msg}", file=sys.stderr)) if args.verbose else None
     seeds = tuple(range(1, args.seeds + 1))
-    if args.target == "chaos":
-        from .chaos import chaos
-
-        kwargs = _engine_kwargs(chaos, args)
-        with observe_sweeps() as observer:
-            data, summary = chaos(
-                seeds=seeds, quick=args.quick, progress=progress, **kwargs
-            )
-        print(format_figure(data))
-        for line in summary.lines():
-            print(f"  {line}")
-        if args.csv:
-            path = write_csv(data, Path(args.csv) / "chaos.csv")
-            print(f"  csv: {path}")
-        status = _finish_observed(observer, not args.no_cache)
-        if status:
-            return status
-        if summary.wedged_handshakes > 0:
-            print(
-                f"FAIL: {summary.wedged_handshakes} wedged handshake(s) "
-                "survived the post-run audit",
-                file=sys.stderr,
-            )
-            return 1
-        if summary.faulted_cells > 0 and summary.recoveries == 0:
-            print(
-                "FAIL: faulted cells ran but no node ever recovered — "
-                "the recovery path is not being exercised",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
     if args.target == "scale":
         from .scale import QUICK_NODES, SCALE_NODES, ab_check, scale
 
@@ -361,11 +305,17 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"  csv: {path}")
         return 0
     if args.target == "all":
-        targets = sorted(ALL_FIGURES)
+        targets = sorted(ALL_PLANS)
     elif args.target == "ablations":
-        targets = sorted(ALL_ABLATIONS)
+        targets = sorted(ABLATION_PLANS)
     else:
         targets = [args.target]
+    factories = _plan_factories()
+    overrides = parse_overrides(args.override) or None
+    plans = [
+        factories[target](seeds=seeds, quick=args.quick, overrides=overrides)
+        for target in targets
+    ]
     profiler = None
     if args.profile:
         # Child processes would escape the profiler and the in-process perf
@@ -379,13 +329,16 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
+    engine = _engine_kwargs(args)
     try:
         with observe_sweeps() as observer:
-            for target in targets:
-                runner = _RUNNERS[target]
-                kwargs = _engine_kwargs(runner, args)
-                data = runner(seeds=seeds, quick=args.quick, progress=progress, **kwargs)
+            for target, plan in zip(targets, plans):
+                grid = plan.sweep(progress, **engine)
+                data = plan.build(grid)
                 print(format_figure(data))
+                if plan.summarize is not None:
+                    for line in plan.summarize(grid):
+                        print(f"  {line}")
                 if args.chart:
                     from ..analysis.charts import figure_chart
 
@@ -397,7 +350,32 @@ def _dispatch(args: argparse.Namespace) -> int:
         if profiler is not None:
             profiler.disable()
             _print_profile(profiler)
-    return _finish_observed(observer, not args.no_cache)
+    status = _finish_observed(observer, not args.no_cache)
+    if status == 0 and args.target == "chaos":
+        return _chaos_status(grid)
+    return status
+
+
+def _chaos_status(grid: GridResults) -> int:
+    """The chaos target's audit gate: no wedges, and recovery exercised."""
+    from .chaos import summarize_grid
+
+    summary = summarize_grid(grid)
+    if summary.wedged_handshakes > 0:
+        print(
+            f"FAIL: {summary.wedged_handshakes} wedged handshake(s) "
+            "survived the post-run audit",
+            file=sys.stderr,
+        )
+        return 1
+    if summary.faulted_cells > 0 and summary.recoveries == 0:
+        print(
+            "FAIL: faulted cells ran but no node ever recovered — "
+            "the recovery path is not being exercised",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
 
 def _print_profile(profiler: "cProfile.Profile") -> None:

@@ -14,18 +14,19 @@ Three layers, lowest first:
 
 ``run_sweep``
     Grid executor: a :class:`SweepSpec` (x axis + config closure) is
-    expanded into (x, protocol, seed) cells and run serially or through
-    the spawn-safe process pool (:mod:`repro.experiments.parallel`),
-    optionally memoized through the content-addressed
-    :mod:`~repro.experiments.cache`.
+    expanded into (x, protocol, seed) cells and run in-process or over
+    the spawn-safe process pool, always by
+    :class:`~repro.experiments.parallel.ParallelSweepRunner`, optionally
+    memoized through the content-addressed :mod:`~repro.experiments.cache`.
 
 ``run_plan``
     Figure executor: a :class:`FigurePlan` bundles a sweep with its base
     config, protocol set, seeds, and the aggregation that turns the raw
     grid into a :class:`FigureData`.  The declarative plan factories live
-    in :mod:`~repro.experiments.figures` and
+    in :mod:`~repro.experiments.figures`,
+    :mod:`~repro.experiments.ablations` and
     :mod:`~repro.experiments.chaos`; they build plans, the engine runs
-    them.
+    them.  Every CLI, benchmark and service target is such a plan.
 
 ``run_request``
     Job executor: a :class:`SweepRequest` is a *serializable* description
@@ -40,7 +41,7 @@ Three layers, lowest first:
 Observability is ambient rather than threaded through every signature:
 wrap engine calls in :func:`observe_sweeps` to collect permanent cell
 failures, requeue counts, and cache hit/miss totals without changing any
-runner's interface.
+front end's interface.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterator,
@@ -62,7 +64,10 @@ from typing import (
 )
 
 from .config import ScenarioConfig
-from .scenario import Scenario, ScenarioResult
+from .scenario import ScenarioResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
+    from .parallel import ParallelSweepRunner
 
 #: The paper's protocol set, in its legend order.
 PAPER_PROTOCOLS: Tuple[str, ...] = ("S-FAMA", "ROPA", "CS-MAC", "EW-MAC")
@@ -139,17 +144,15 @@ class SweepObserver:
     #: Checkpoints taken across all finished cells.
     checkpoints_taken: int = 0
 
-    def record_runner(self, runner: object) -> None:
+    def record_runner(self, runner: "ParallelSweepRunner") -> None:
         """Fold one finished ``ParallelSweepRunner`` into the totals."""
         self.failures.extend(runner.failures)
         self.requeued += len(runner.requeued)
-        self.cells_resumed += getattr(runner, "cells_resumed", 0)
-        self.checkpoints_taken += getattr(runner, "checkpoints_taken", 0)
-        cache = runner.cache
-        if cache is not None:
-            self.cache_hits += cache.stats.hits
-            self.cache_misses += cache.stats.misses
-            self.cache_stores += cache.stats.stores
+        self.cells_resumed += runner.cells_resumed
+        self.checkpoints_taken += runner.checkpoints_taken
+        self.cache_hits += runner.cache_traffic.hits
+        self.cache_misses += runner.cache_traffic.misses
+        self.cache_stores += runner.cache_traffic.stores
 
     def merge(self, other: "SweepObserver") -> None:
         """Fold another observer's totals into this one (nested blocks)."""
@@ -180,7 +183,7 @@ def observe_sweeps() -> Iterator[SweepObserver]:
 
     Front-ends (CLI exit codes, the service's failed-job detection, CI
     cache accounting) use this instead of threading reporting hooks
-    through every figure runner's signature.  Blocks nest: an inner
+    through every front end's signature.  Blocks nest: an inner
     block's totals fold into the enclosing observer when it exits, so
     :func:`run_request` (which observes its own sweep) stays visible to
     a caller that is also observing.
@@ -213,12 +216,16 @@ def run_sweep(
 ) -> GridResults:
     """Run every (x, protocol, seed) cell of a sweep.
 
+    Every sweep goes through
+    :class:`~repro.experiments.parallel.ParallelSweepRunner`, so serial
+    and pooled runs share one cache, checkpoint and failure path, and an
+    enclosing :func:`observe_sweeps` block sees both the same way.
+
     Args:
-        workers: ``1`` (default) runs the classic in-process loop;
+        workers: ``1`` (default) runs every cell in this process;
             ``N > 1`` (or ``None``/``0`` for the CPU count) fans cells out
-            over a spawn-safe process pool via
-            :class:`~repro.experiments.parallel.ParallelSweepRunner`.
-            Cell order, seed pairing, and results are identical either way.
+            over a spawn-safe process pool.  Cell order, seed pairing, and
+            results are identical either way.
         cache: ``None`` (off), ``True`` (default on-disk location), a
             directory path, or a
             :class:`~repro.experiments.cache.ResultCache` — previously
@@ -232,46 +239,21 @@ def run_sweep(
         checkpoint_dir: Directory for checkpoint files; ``None`` uses a
             temporary directory scoped to the sweep.
     """
-    from .cache import resolve_cache
+    from .parallel import ParallelSweepRunner
 
-    resolved = resolve_cache(cache)  # type: ignore[arg-type]
-    if (
-        (workers is None or workers != 1)
-        or resolved is not None
-        or checkpoint_every_s is not None
-    ):
-        from .parallel import ParallelSweepRunner
-
-        runner = ParallelSweepRunner(
-            workers=workers,
-            cache=resolved,
-            cell_timeout_s=cell_timeout_s,
-            progress=progress,
-            checkpoint_every_s=checkpoint_every_s,
-            checkpoint_dir=checkpoint_dir,
-        )
-        grid = runner.run(spec, base, protocols=protocols, seeds=seeds)
-        observer = _OBSERVER.get()
-        if observer is not None:
-            observer.record_runner(runner)
-        return grid
-    results: GridResults = {}
-    for x in spec.x_values:
-        for protocol in protocols:
-            cell: List[ScenarioResult] = []
-            for seed in seeds:
-                config = spec.configure(base, x, protocol, seed)
-                scenario = Scenario(config)
-                if spec.batch is not None:
-                    n_packets, max_time = spec.batch(x, config)
-                    result = scenario.run_batch(n_packets, max_time)
-                else:
-                    result = scenario.run_steady_state()
-                cell.append(result)
-                if progress is not None:
-                    progress(f"{protocol} x={x} seed={seed} done")
-            results[(x, protocol)] = cell
-    return results
+    runner = ParallelSweepRunner(
+        workers=workers,
+        cache=cache,
+        cell_timeout_s=cell_timeout_s,
+        progress=progress,
+        checkpoint_every_s=checkpoint_every_s,
+        checkpoint_dir=checkpoint_dir,
+    )
+    grid = runner.run(spec, base, protocols=protocols, seeds=seeds)
+    observer = _OBSERVER.get()
+    if observer is not None:
+        observer.record_runner(runner)
+    return grid
 
 
 def aggregate(
@@ -327,7 +309,8 @@ class FigurePlan:
     """A fully-resolved figure run: sweep, inputs, and aggregation.
 
     Plan factories (``fig6_plan`` ... in
-    :mod:`~repro.experiments.figures`, ``chaos_figure_plan`` in
+    :mod:`~repro.experiments.figures`, ``clock_skew_plan`` ... in
+    :mod:`~repro.experiments.ablations`, ``chaos_figure_plan`` in
     :mod:`~repro.experiments.chaos`) are declarative — they decide axes,
     base configs, and metrics but never execute anything, so the same
     plan can be keyed (:func:`request_key`), run locally
@@ -348,6 +331,17 @@ class FigurePlan:
     def n_cells(self) -> int:
         return len(list(self.spec.x_values)) * len(self.protocols) * len(self.seeds)
 
+    def sweep(self, progress: Progress = None, **engine: object) -> GridResults:
+        """Run this plan's grid; ``engine`` kwargs go to :func:`run_sweep`."""
+        return run_sweep(
+            self.spec,
+            self.base,
+            protocols=self.protocols,
+            seeds=self.seeds,
+            progress=progress,
+            **engine,  # type: ignore[arg-type]
+        )
+
 
 def run_plan(
     plan: FigurePlan,
@@ -359,11 +353,7 @@ def run_plan(
     checkpoint_dir: Optional[str] = None,
 ) -> FigureData:
     """Execute a plan's sweep and build its figure."""
-    grid = run_sweep(
-        plan.spec,
-        plan.base,
-        protocols=plan.protocols,
-        seeds=plan.seeds,
+    grid = plan.sweep(
         progress=progress,
         workers=workers,
         cache=cache,
@@ -480,11 +470,16 @@ class SweepRequest:
 
 
 def _plan_factories() -> Dict[str, Callable[..., FigurePlan]]:
-    """Every servable target, by id (lazy: plans live in the front ends)."""
+    """Every runnable target, by id: figures, ablations and chaos.
+
+    The one plan registry the CLI, the benchmarks and the job service
+    read (imported lazily: the plan modules import this one).
+    """
+    from .ablations import ABLATION_PLANS
     from .chaos import chaos_figure_plan
     from .figures import ALL_PLANS
 
-    return {**ALL_PLANS, "chaos": chaos_figure_plan}
+    return {**ALL_PLANS, **ABLATION_PLANS, "chaos": chaos_figure_plan}
 
 
 def service_targets() -> Tuple[str, ...]:
@@ -578,16 +573,12 @@ def run_request(
     """Execute a request end to end and return its :class:`SweepResult`.
 
     Deterministic for a given request and source tree: the figure dict is
-    bit-identical to the corresponding direct figure-runner call (the CI
-    service smoke asserts this over HTTP).
+    bit-identical to :func:`run_plan` on the same plan (the CI service
+    smoke asserts this over HTTP).
     """
     plan = request_plan(request)
     with observe_sweeps() as observer:
-        grid = run_sweep(
-            plan.spec,
-            plan.base,
-            protocols=plan.protocols,
-            seeds=plan.seeds,
+        grid = plan.sweep(
             progress=progress,
             workers=workers,
             cache=cache,

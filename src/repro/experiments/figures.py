@@ -1,4 +1,4 @@
-"""Per-figure experiment plans and runners (paper Sec. 5, Figs. 6-11).
+"""Per-figure experiment plans (paper Sec. 5, Figs. 6-11).
 
 Each figure is described *declaratively* by a plan factory
 (``fig6_plan`` ...): axes, base config, protocol set, seeds, and the
@@ -8,12 +8,10 @@ execute anything — the pure engine does
 (:func:`~repro.experiments.engine.run_plan`), so the same plan can be
 run by the CLI, keyed and queued by the job service, or benchmarked.
 
-The classic ``figN(...)`` runners remain as thin callers over their
-plans with unchanged signatures.  Every runner accepts ``quick=True``
+Every factory takes ``seeds`` for replication control, ``quick=True``
 for a scaled-down run (shorter window, single seed, coarser axis) used
-by the benchmark suite, ``seeds`` for replication control, and
-``overrides`` for ad-hoc base-config tweaks (the CLI's ``--override``
-and the service's request overrides).
+by the benchmark suite, and ``overrides`` for ad-hoc base-config tweaks
+(the CLI's ``--override`` and the service's request overrides).
 
 :data:`PAPER_EXPECTATIONS` records what the original figure shows, so the
 reports (and EXPERIMENTS.md) can place measured series next to the paper's
@@ -34,10 +32,8 @@ from .engine import (
     aggregate,
     aggregate_relative,
     apply_overrides,
-    run_plan,
 )
 
-Progress = Optional[Callable[[str], None]]
 Overrides = Optional[Mapping[str, object]]
 
 
@@ -88,7 +84,7 @@ def _steady_spec(
     """Sweep one ScenarioConfig field over x for steady-state runs."""
 
     def configure(base: ScenarioConfig, x: float, protocol: str, seed: int) -> ScenarioConfig:
-        value = int(x) if field_name == "n_sensors" else x
+        value = int(x) if field_name in ("n_sensors", "data_packet_bits") else x
         return base.with_(**{field_name: value, "protocol": protocol, "seed": seed})
 
     return SweepSpec(x_values=list(x_values), configure=configure)
@@ -136,27 +132,6 @@ def fig6_plan(
     )
 
 
-def fig6(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Overrides = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> FigureData:
-    """Paper Fig. 6: throughput at different offered loads (60 sensors)."""
-    return run_plan(
-        fig6_plan(seeds, quick, overrides),
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
-    )
-
-
 # ----------------------------------------------------------------------
 # Fig. 7 — throughput vs node density
 # ----------------------------------------------------------------------
@@ -191,27 +166,6 @@ def fig7_plan(
         protocols=PAPER_PROTOCOLS,
         seeds=_plan_seeds(seeds, quick),
         build=build,
-    )
-
-
-def fig7(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Overrides = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> FigureData:
-    """Paper Fig. 7: throughput at different sensor densities (0.8 kbps)."""
-    return run_plan(
-        fig7_plan(seeds, quick, overrides),
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
     )
 
 
@@ -267,27 +221,6 @@ def fig8_plan(
         protocols=PAPER_PROTOCOLS,
         seeds=_plan_seeds(seeds, quick),
         build=build,
-    )
-
-
-def fig8(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Overrides = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> FigureData:
-    """Paper Fig. 8: time to complete a fixed batch of transmissions."""
-    return run_plan(
-        fig8_plan(seeds, quick, overrides),
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
     )
 
 
@@ -356,27 +289,6 @@ def fig9a_plan(
     )
 
 
-def fig9a(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Overrides = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> FigureData:
-    """Paper Fig. 9a: energy to deliver the offered information, 80 sensors."""
-    return run_plan(
-        fig9a_plan(seeds, quick, overrides),
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
-    )
-
-
 def fig9b_plan(
     seeds: Sequence[int] = (1, 2, 3),
     quick: bool = False,
@@ -415,27 +327,6 @@ def fig9b_plan(
         protocols=PAPER_PROTOCOLS,
         seeds=_plan_seeds(seeds, quick),
         build=build,
-    )
-
-
-def fig9b(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Overrides = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> FigureData:
-    """Paper Fig. 9b: drain energy vs number of sensors at 0.3 kbps."""
-    return run_plan(
-        fig9b_plan(seeds, quick, overrides),
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
     )
 
 
@@ -478,27 +369,6 @@ def fig10a_plan(
     )
 
 
-def fig10a(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Overrides = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> FigureData:
-    """Paper Fig. 10a: overhead ratio vs node count at 0.5 kbps."""
-    return run_plan(
-        fig10a_plan(seeds, quick, overrides),
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
-    )
-
-
 def fig10b_plan(
     seeds: Sequence[int] = (1, 2, 3),
     quick: bool = False,
@@ -506,7 +376,7 @@ def fig10b_plan(
 ) -> FigurePlan:
     """Paper Fig. 10b: overhead ratio vs offered load (dense network).
 
-    The paper uses 200 sensors; the full runner follows suit, the quick
+    The paper uses 200 sensors; the full plan follows suit, the quick
     variant uses 100 to bound benchmark time.
     """
     loads = [0.4, 0.8] if quick else [0.4, 0.5, 0.6, 0.7, 0.8]
@@ -538,27 +408,6 @@ def fig10b_plan(
         protocols=PAPER_PROTOCOLS,
         seeds=_plan_seeds(seeds, quick),
         build=build,
-    )
-
-
-def fig10b(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Overrides = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> FigureData:
-    """Paper Fig. 10b: overhead ratio vs offered load (dense network)."""
-    return run_plan(
-        fig10b_plan(seeds, quick, overrides),
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
     )
 
 
@@ -599,39 +448,6 @@ def fig11_plan(
         build=build,
     )
 
-
-def fig11(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Overrides = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> FigureData:
-    """Paper Fig. 11: Eq. (4) efficiency index, S-FAMA normalized to 1."""
-    return run_plan(
-        fig11_plan(seeds, quick, overrides),
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
-    )
-
-
-#: Every figure runner by id, for the CLI and benchmarks.
-ALL_FIGURES: Dict[str, Callable[..., FigureData]] = {
-    "fig6": fig6,
-    "fig7": fig7,
-    "fig8": fig8,
-    "fig9a": fig9a,
-    "fig9b": fig9b,
-    "fig10a": fig10a,
-    "fig10b": fig10b,
-    "fig11": fig11,
-}
 
 #: Every figure plan factory by id, for the engine's request layer.
 ALL_PLANS: Dict[str, Callable[..., FigurePlan]] = {

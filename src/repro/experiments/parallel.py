@@ -1,13 +1,13 @@
-"""Parallel sweep execution engine.
+"""Sweep execution: the one runner behind every figure, ablation and chaos run.
 
-A figure sweep is a grid of (x, protocol, seed) cells, each an independent
+A sweep is a grid of (x, protocol, seed) cells, each an independent
 deterministic simulation — exactly the embarrassingly-parallel shape a
 process pool wants.  :class:`ParallelSweepRunner` expands a
 :class:`~repro.experiments.engine.SweepSpec` into picklable
 :class:`SweepCell` work items **in the parent** (so the spec's closures
-never cross a process boundary), fans the items over a spawn-safe worker
-pool, and reassembles results in the exact order the serial loop would
-have produced them — ``run_sweep(..., workers=4)`` is bit-identical to
+never cross a process boundary), runs them in-process (``workers=1``) or
+fans them over a spawn-safe worker pool, and reassembles results in grid
+order — ``run_sweep(..., workers=4)`` is bit-identical to
 ``workers=1`` because every cell derives all randomness from its own
 config seed (see :mod:`repro.des.rng`).
 
@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..des.errors import WallClockExceeded
-from .cache import ResultCache, cell_key, code_version, resolve_cache
+from .cache import CacheStats, ResultCache, cell_key, code_version, resolve_cache
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .config import ScenarioConfig
 from .scenario import Scenario, ScenarioResult
@@ -193,17 +193,12 @@ def _pool_worker(
 ) -> Tuple[int, float, ScenarioResult]:
     """Pool entry point: returns (cell index, wall-clock seconds, result)."""
     started = time.perf_counter()
-    # Checkpoint kwargs are only passed when checkpointing is on: tests
-    # monkeypatch ``execute_cell`` with the classic two-argument signature.
-    if checkpoint_path is not None:
-        result = execute_cell(
-            cell,
-            wall_budget_s,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every_s=checkpoint_every_s,
-        )
-    else:
-        result = execute_cell(cell, wall_budget_s)
+    result = execute_cell(
+        cell,
+        wall_budget_s,
+        checkpoint_path=checkpoint_path,
+        checkpoint_every_s=checkpoint_every_s,
+    )
     return cell.index, time.perf_counter() - started, result
 
 
@@ -282,6 +277,9 @@ class ParallelSweepRunner:
         self.cells_resumed = 0
         #: Total checkpoints taken across every finished cell.
         self.checkpoints_taken = 0
+        #: This run's own cache traffic (a shared :class:`ResultCache`'s
+        #: ``stats`` also count every earlier run that used it).
+        self.cache_traffic = CacheStats()
 
     # ------------------------------------------------------------------
     def _emit(self, message: str) -> None:
@@ -351,6 +349,7 @@ class ParallelSweepRunner:
         self.failures = []
         self.cells_resumed = 0
         self.checkpoints_taken = 0
+        self.cache_traffic = CacheStats()
         results: List[Optional[ScenarioResult]] = [None] * len(cells)
         keys: Dict[int, str] = {}
         pending: List[SweepCell] = []
@@ -363,8 +362,10 @@ class ParallelSweepRunner:
                 hit = self.cache.get(keys[cell.index])
                 if hit is not None:
                     results[cell.index] = hit
+                    self.cache_traffic.hits += 1
                     self._emit(f"{cell.label} cached")
                     continue
+                self.cache_traffic.misses += 1
             pending.append(cell)
 
         if pending:
@@ -410,6 +411,7 @@ class ParallelSweepRunner:
         results[cell.index] = result
         if self.cache is not None:
             self.cache.put(keys[cell.index], result)
+            self.cache_traffic.stores += 1
         if result.perf is not None:
             if result.perf.resumes > 0:
                 self.cells_resumed += 1
@@ -434,8 +436,7 @@ class ParallelSweepRunner:
         """In-parent execution: the workers=1 path and the recovery path.
 
         The primary (``recovery=False``) path runs each cell once with no
-        wall-clock budget, exactly like the classic serial loop.  The
-        recovery path is bounded both ways: each re-run gets at most
+        wall-clock budget.  The recovery path is bounded both ways: each re-run gets at most
         :meth:`_recovery_budget_s` of wall clock and each cell at most
         ``max_serial_attempts`` tries — a truly wedged cell becomes a
         :class:`CellFailure` instead of blocking the sweep forever.  With
@@ -455,18 +456,12 @@ class ParallelSweepRunner:
             error_tb = ""
             for attempt in range(1, attempts + 1):
                 try:
-                    # Checkpoint kwargs are only passed when checkpointing
-                    # is on: tests monkeypatch ``execute_cell`` with the
-                    # classic two-argument signature.
-                    if checkpoint_path is not None:
-                        result = execute_cell(
-                            cell,
-                            budget_s,
-                            checkpoint_path=checkpoint_path,
-                            checkpoint_every_s=self.checkpoint_every_s,
-                        )
-                    else:
-                        result = execute_cell(cell, budget_s)
+                    result = execute_cell(
+                        cell,
+                        budget_s,
+                        checkpoint_path=checkpoint_path,
+                        checkpoint_every_s=self.checkpoint_every_s,
+                    )
                     break
                 except WallClockExceeded as exc:
                     error, error_tb = exc, traceback.format_exc()
@@ -522,25 +517,16 @@ class ParallelSweepRunner:
         pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=context)
         hung = False
         try:
-            # As in ``_run_serial``: checkpoint arguments only when
-            # checkpointing is on, so monkeypatched two-argument workers
-            # keep working.
-            if self._checkpointing:
-                future_to_cell = {
-                    pool.submit(
-                        _pool_worker,
-                        cell,
-                        self.cell_timeout_s,
-                        self._checkpoint_path_for(cell, keys),
-                        self.checkpoint_every_s,
-                    ): cell
-                    for cell in cells
-                }
-            else:
-                future_to_cell = {
-                    pool.submit(_pool_worker, cell, self.cell_timeout_s): cell
-                    for cell in cells
-                }
+            future_to_cell = {
+                pool.submit(
+                    _pool_worker,
+                    cell,
+                    self.cell_timeout_s,
+                    checkpoint_path=self._checkpoint_path_for(cell, keys),
+                    checkpoint_every_s=self.checkpoint_every_s,
+                ): cell
+                for cell in cells
+            }
             waiting = set(future_to_cell)
             while waiting:
                 done, waiting = wait(

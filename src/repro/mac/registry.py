@@ -24,10 +24,10 @@ def _ensure_builtins() -> None:
     """
     if _REGISTRY:
         return
-    from ..core.ewmac import EwMac  # local import breaks the cycle
+    from ..core.ewmac import EwMac, EwMacEarliest  # local import breaks the cycle
     from .aloha import SlottedAloha
 
-    for cls in (SFama, Ropa, CsMac, EwMac, SlottedAloha):
+    for cls in (SFama, Ropa, CsMac, EwMac, EwMacEarliest, SlottedAloha):
         register(cls)
 
 

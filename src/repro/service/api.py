@@ -6,7 +6,8 @@ the simulator does.  Endpoints (all JSON unless noted):
 ``GET  /healthz``
     Liveness + job counts per state.
 ``GET  /targets``
-    Servable figure targets (``fig6`` ... ``chaos``).
+    Servable targets: figures (``fig6`` ...), ablations (``abl-*``) and
+    ``chaos``.
 ``POST /jobs``
     Submit a sweep request, e.g. ``{"target": "fig6", "quick": true,
     "seeds": [1], "overrides": {"n_sensors": 20}}``.  Responds with the

@@ -1,9 +1,12 @@
-"""Tests for the ablation runners and clock-skew injection."""
+"""Tests for the ablation plans and clock-skew injection."""
+
+import json
 
 import pytest
 
-from repro.experiments import Scenario, table2_config
-from repro.experiments.ablations import ALL_ABLATIONS
+from repro.experiments import ResultCache, Scenario, table2_config
+from repro.experiments.ablations import ABLATION_PLANS, clock_skew_plan
+from repro.experiments.engine import observe_sweeps, run_plan
 
 
 class TestClockSkewInjection:
@@ -60,18 +63,32 @@ class TestClockSkewInjection:
 
 class TestAblationRunners:
     def test_registry_ids_match_figure_ids(self):
-        for ablation_id, runner in ALL_ABLATIONS.items():
+        for ablation_id, factory in ABLATION_PLANS.items():
             assert ablation_id.startswith("abl-")
+            assert factory(quick=True).figure_id == ablation_id
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("ablation_id", sorted(ALL_ABLATIONS))
+    @pytest.mark.parametrize("ablation_id", sorted(ABLATION_PLANS))
     def test_quick_mode_runs(self, ablation_id):
-        data = ALL_ABLATIONS[ablation_id](quick=True)
+        data = run_plan(ABLATION_PLANS[ablation_id](quick=True))
         assert data.figure_id == ablation_id
         assert data.x_values
         for name, series in data.series.items():
             assert len(series) == len(data.x_values), name
             assert all(v >= 0.0 for v in series)
+
+    def test_quick_plan_reuses_cache(self, tmp_path):
+        """Ablations get the content-addressed result cache like figures."""
+        cache = ResultCache(tmp_path / "cache")
+        with observe_sweeps() as cold:
+            first = run_plan(clock_skew_plan(quick=True), cache=cache)
+        assert (cold.cache_hits, cold.cache_misses) == (0, 4)
+        with observe_sweeps() as warm:
+            second = run_plan(clock_skew_plan(quick=True), cache=cache)
+        assert (warm.cache_hits, warm.cache_misses) == (4, 0)
+        assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
+            second.to_dict(), sort_keys=True
+        )
 
 
 class TestCliIntegration:

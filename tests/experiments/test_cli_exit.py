@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
@@ -37,9 +39,10 @@ def test_invalid_override_value_exits_2(tmp_path):
     assert "at least one sensor" in result.stderr
 
 
-def test_unknown_override_field_exits_2(tmp_path):
+@pytest.mark.parametrize("target", ["fig6", "abl-clock-skew", "chaos"])
+def test_unknown_override_field_exits_2(tmp_path, target):
     result = _run_cli(
-        "fig6", "--quick", "--no-cache", "--override", "bogus_field=1", cwd=tmp_path
+        target, "--quick", "--no-cache", "--override", "bogus_field=1", cwd=tmp_path
     )
     assert result.returncode == 2
     assert "unknown config override" in result.stderr

@@ -124,7 +124,7 @@ class TestResultCache:
         )
         assert cache.stats.misses == 8 and cache.stats.stores == 8
 
-        def boom(cell, wall_budget_s=None):
+        def boom(cell, wall_budget_s=None, **kwargs):
             raise AssertionError(f"cache-hit rerun executed {cell.label}")
 
         monkeypatch.setattr("repro.experiments.parallel.execute_cell", boom)
@@ -192,16 +192,16 @@ class TestResultCache:
 from repro.experiments.parallel import _pool_worker as _real_pool_worker
 
 
-def _crashing_worker(cell, wall_budget_s):
+def _crashing_worker(cell, wall_budget_s, **kwargs):
     if cell.index == 1:
         raise RuntimeError("synthetic worker crash")
-    return _real_pool_worker(cell, wall_budget_s)
+    return _real_pool_worker(cell, wall_budget_s, **kwargs)
 
 
-def _timing_out_worker(cell, wall_budget_s):
+def _timing_out_worker(cell, wall_budget_s, **kwargs):
     if cell.index == 0:
         raise WallClockExceeded("synthetic cell timeout")
-    return _real_pool_worker(cell, wall_budget_s)
+    return _real_pool_worker(cell, wall_budget_s, **kwargs)
 
 
 class TestRecovery:
@@ -230,11 +230,11 @@ class TestRecovery:
         assert _grid_dicts(serial) == _grid_dicts(recovered)
 
 
-def _poisoned_execute_cell(cell, wall_budget_s=None):
+def _poisoned_execute_cell(cell, wall_budget_s=None, **kwargs):
     """Fails one specific cell every time (pool *and* serial retry)."""
     if cell.protocol == "EW-MAC" and cell.seed == 1:
         raise RuntimeError("synthetic permanent failure")
-    return execute_cell(cell, wall_budget_s)
+    return execute_cell(cell, wall_budget_s, **kwargs)
 
 
 class TestPermanentFailure:
@@ -309,16 +309,16 @@ class TestPermanentFailure:
         assert len(grid[(0.4, "S-FAMA")]) == 1
 
 
-def _hanging_worker(cell, wall_budget_s):
+def _hanging_worker(cell, wall_budget_s, **kwargs):
     if cell.index == 0:
         time.sleep(30.0)  # never returns within the guard window
-    return _real_pool_worker(cell, wall_budget_s)
+    return _real_pool_worker(cell, wall_budget_s, **kwargs)
 
 
-def _dying_worker(cell, wall_budget_s):
+def _dying_worker(cell, wall_budget_s, **kwargs):
     if cell.index == 1:
         os._exit(17)  # hard death: no exception, no result, broken pool
-    return _real_pool_worker(cell, wall_budget_s)
+    return _real_pool_worker(cell, wall_budget_s, **kwargs)
 
 
 class TestFaultRecovery:
@@ -366,7 +366,7 @@ class TestFaultRecovery:
 
         calls = []
 
-        def always_crashing(cell, wall_budget_s=None):
+        def always_crashing(cell, wall_budget_s=None, **kwargs):
             calls.append(cell.index)
             raise RuntimeError("still broken")
 
@@ -390,7 +390,7 @@ class TestFaultRecovery:
 
         budgets = []
 
-        def timing_out(cell, wall_budget_s=None):
+        def timing_out(cell, wall_budget_s=None, **kwargs):
             budgets.append(wall_budget_s)
             raise WallClockExceeded("over budget")
 
