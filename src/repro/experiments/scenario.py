@@ -29,7 +29,7 @@ from ..metrics.execution import (
 from ..metrics.overhead import OverheadReport, network_overhead
 from ..metrics.throughput import ThroughputReport, network_throughput
 from ..metrics.utilization import UtilizationReport, network_utilization
-from ..faults.audit import FaultAuditError, audit_macs
+from ..faults.audit import ArrivalAuditError, FaultAuditError, audit_macs, audit_modems
 from ..faults.injector import FaultInjector, FaultReport
 from ..net.clock import NodeClock
 from ..net.node import Node
@@ -173,6 +173,9 @@ class Scenario:
             use_link_cache=config.link_cache,
             # Safe here: no MAC retains an Arrival past its receive callback.
             pool_arrivals=True,
+            # A fault plan's outages decide outcomes from the modem state at
+            # each arrival's end, so faulted runs keep every finish event.
+            defer_failures=not config.faults,
         )
         self.timing = make_slot_timing(
             bitrate_bps=config.bitrate_bps,
@@ -359,6 +362,7 @@ class Scenario:
             raise RuntimeError("no in-flight run to resume (scenario never started)")
         if plan.mode == "steady":
             self._run_windows(plan.end_s, checkpoint_every_s, on_checkpoint)
+            self._settle_arrivals()
             return self._collect(duration_s=plan.duration_s)
         on_chunk = None
         if checkpoint_every_s is not None and checkpoint_every_s > 0:
@@ -377,6 +381,7 @@ class Scenario:
             check_interval_s=plan.check_interval_s,
             on_chunk=on_chunk,
         )
+        self._settle_arrivals()
         duration = max(execution.drain_time_s - self.config.warmup_s, 1e-6)
         result = self._collect(duration_s=duration)
         result.execution = execution
@@ -429,6 +434,19 @@ class Scenario:
         return restore_scenario(data, check_code=check_code)
 
     # ------------------------------------------------------------------
+    def _settle_arrivals(self) -> None:
+        """Make the modem counters final, then audit them.
+
+        Runs before :meth:`_collect`: settling deferred arrivals is part of
+        finishing the run, not of reading its metrics.
+        """
+        modems = [node.modem for node in self.nodes]
+        for modem in modems:
+            modem.settle()
+        violations = audit_modems(modems)
+        if violations:
+            raise ArrivalAuditError(violations)
+
     def _collect(self, duration_s: float) -> ScenarioResult:
         throughput = network_throughput(self.macs, duration_s)
         energy = network_energy(self.macs, duration_s, self.power)

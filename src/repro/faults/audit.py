@@ -1,4 +1,12 @@
-"""Post-run invariant audit: no node may end with orphaned pending state.
+"""Post-run invariant audits: no node may end with orphaned pending state.
+
+Two audits live here.  :func:`audit_modems` runs at the end of *every*
+scenario: each arrival that reached a modem must have ended with exactly
+one outcome count (decoded, failed, or dropped by an outage) unless it is
+still on air, and no deferred certain-failure arrival that has ended may
+be left unsettled.  A violation raises :class:`ArrivalAuditError` — it
+means the receive path lost or double-counted an arrival.  The MAC audit
+below runs after faulted runs.
 
 A MAC that is in a non-idle handshake state must always hold a *live*
 (scheduled, pending) escape event — a timeout or a slot whose tick will
@@ -22,6 +30,7 @@ from typing import Iterable, List, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mac.base import SlottedMac
+    from ..phy.modem import AcousticModem
 
 
 class FaultAuditError(RuntimeError):
@@ -45,4 +54,28 @@ def audit_macs(macs: Iterable["SlottedMac"]) -> List[str]:
     violations: List[str] = []
     for mac in macs:
         violations.extend(mac.audit_pending_state())
+    return violations
+
+
+class ArrivalAuditError(RuntimeError):
+    """A scenario ended with arrivals lost or double-counted by a modem."""
+
+    def __init__(self, violations: Sequence[str]) -> None:
+        self.violations = tuple(violations)
+        # A broken receive path breaks every modem at once; the first few
+        # violations say what went wrong.
+        lines = "\n  ".join(self.violations[:10])
+        more = len(self.violations) - 10
+        if more > 0:
+            lines += f"\n  ... and {more} more"
+        super().__init__(
+            f"{len(self.violations)} arrival accounting violation(s):\n  {lines}"
+        )
+
+
+def audit_modems(modems: Iterable["AcousticModem"]) -> List[str]:
+    """Arrival conservation violations across modems (empty list = clean)."""
+    violations: List[str] = []
+    for modem in modems:
+        violations.extend(modem.audit_arrivals())
     return violations

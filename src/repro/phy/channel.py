@@ -103,6 +103,17 @@ class AcousticChannel:
             callers may legitimately retain Arrival references past the
             receive callback; the scenario layer — whose MACs never do —
             always turns it on.
+        defer_failures: Settle certain-failure arrivals without a finish
+            event or a decode (see :mod:`repro.phy.modem`).  Outcome
+            counts are unchanged, but the failure callback for such an
+            arrival fires when its receiver prunes it — or at
+            :meth:`~repro.phy.modem.AcousticModem.settle` — rather than
+            at its end.  A run must end at a fixed time (``run(until=)``;
+            a drained queue stops before a deferred arrival's end) and
+            then call ``settle`` on every modem.  Takes effect only under
+            the threshold PER model and with tracing off (settlement
+            emits no trace records).  Off by default; the scenario layer
+            turns it on for runs without a fault plan.
     """
 
     def __init__(
@@ -117,6 +128,7 @@ class AcousticChannel:
         fading: Optional[FadingProcess] = None,
         use_link_cache: bool = True,
         pool_arrivals: bool = False,
+        defer_failures: bool = False,
     ) -> None:
         if bitrate_bps <= 0:
             raise ValueError("bitrate must be positive")
@@ -140,6 +152,24 @@ class AcousticChannel:
                 threshold_db=self.link_budget.snr_db(max_range_m) - 0.5
             )
         self.per_model = per_model
+        #: Under the plain threshold model a decode is ``sinr >= threshold``
+        #: and needs no draw; None for any other PER model.
+        self.decode_threshold_db: Optional[float] = (
+            per_model.threshold_db if type(per_model) is DefaultPerModel else None
+        )
+        #: Arrivals below this level cannot reach the threshold even with
+        #: no interference and no extra noise, so they are certain
+        #: failures (-inf: no arrival is deferred).  The 1e-6 dB margin
+        #: dwarfs the rounding of the dB/linear round trip in the SINR.
+        self.defer_below_db = float("-inf")
+        if (
+            defer_failures
+            and self.decode_threshold_db is not None
+            and not sim.trace.enabled
+        ):
+            self.defer_below_db = (
+                self.decode_threshold_db + self.link_budget.noise_level_db() - 1e-6
+            )
         self.interference_range_factor = interference_range_factor
         self.fading = fading if fading is not None else NoFading()
         # NoFading contributes exactly 0 dB; skipping the call entirely
@@ -298,8 +328,8 @@ class AcousticChannel:
             start = now + delay
             if pool:
                 # Recycle a pruned Arrival: every field is overwritten, and
-                # pruning only returns arrivals whose finish event already
-                # fired, so no live reference can observe the reuse.
+                # pruning only returns arrivals that ended and were decoded
+                # or settled, so no live reference can observe the reuse.
                 arrival = pool.pop()
                 arrival.frame = frame
                 arrival.src = tx_id

@@ -12,6 +12,23 @@ Implements the paper's antenna constraints (Sec. 3.2):
   same time" — overlapping arrivals interfere; the SINR/PER models decide
   whether either survives (with the default threshold model, overlap of
   comparable-power arrivals destroys both).
+
+Deferred settlement.  Under the calibrated threshold model
+(:class:`~repro.acoustic.per.DefaultPerModel`) PER is exactly 0 or 1, so a
+decode is the comparison ``sinr_db >= threshold_db`` and the uniform draw
+that :meth:`~repro.acoustic.per.PerModel.is_successful` takes cannot
+change its answer; the modem skips that draw.  Interference and extra
+noise only lower SINR, so an arrival whose level alone is below
+``threshold + noise`` (a *certain failure* — typically a signal the
+interference range delivers from beyond decode range) cannot decode at
+all.  When the channel enables deferral, such an arrival is registered
+exactly like any other (it interferes, and counts toward busy time) but
+gets no finish event and no decode: two flags recorded as arrivals begin
+and transmissions start fix its outcome, and it is *settled* — counted
+and reported through :attr:`AcousticModem.on_rx_failure` — when the
+receiver prunes it, or by :meth:`AcousticModem.settle` at the end of a
+run.  Outcome counts are identical to decoding it at its end; only the
+moment of the failure callback moves.
 """
 
 from __future__ import annotations
@@ -20,23 +37,19 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, TYPE_CHECKING
 
-import numpy as np
-
 from ..des.simulator import Simulator
 from .frame import Frame
 
 if TYPE_CHECKING:  # pragma: no cover
     from .channel import AcousticChannel
 
-#: Overlap scans over fewer pending arrivals than this stay on the plain
-#: list comprehension: below it, NumPy's fixed per-call overhead costs more
-#: than it saves.  Both paths are bit-identical (same comparisons, same
-#: level values, same order), so the threshold is purely a speed knob.
-VECTOR_SCAN_MIN = 16
-
 #: Cap on the shared Arrival free-list (see ``AcousticChannel.arrival_pool``),
 #: read once when a modem is constructed; 0 disables recycling.
 ARRIVAL_POOL_CAP = 4096
+
+#: Smallest pending-arrival list the deferred branch of
+#: :meth:`AcousticModem.begin_arrival` lets grow before pruning again.
+_MIN_PRUNE_LEN = 16
 
 
 class RxOutcome(Enum):
@@ -66,13 +79,27 @@ class Arrival:
         level_db: Received signal level at this modem.
         delay_s: One-way propagation delay the signal experienced.
 
-    The extra ``_slot`` slot (not a dataclass field) is the arrival's index
-    in its receiving modem's pending list, kept aligned with the modem's
-    parallel start/end/level arrays so the vectorized interferer scan can
-    exclude the arrival itself by position in O(1).
+    Three extra slots (not dataclass fields) are written by the receiving
+    modem when the arrival begins:
+
+    * ``_hit`` — another registered arrival overlaps this one.  An
+      arrival sets its own flag when it begins while an earlier one is
+      still on air, and sets the flag of the pending list's tail (the
+      arrival that began just before it) when it starts before that
+      tail ends.  Arrivals begin in start order, so this covers every
+      overlapping pair: if B begins before A ends, A's immediate
+      successor began no later than B, so also before A ended, and
+      marked A.  A decode with ``_hit`` false needs no interferer scan.
+    * ``_hd`` — one of the modem's own transmissions overlaps this
+      arrival: set at begin when a transmission is still on air, and by
+      every later transmission that starts before the arrival ends.
+    * ``_deferred`` — a certain failure awaiting settlement (see the
+      module docstring): its outcome is HALF_DUPLEX if ``_hd``, else
+      COLLISION if ``_hit``, else NOISE.
     """
 
-    __slots__ = ("frame", "src", "start", "end", "level_db", "delay_s", "_slot")
+    __slots__ = ("frame", "src", "start", "end", "level_db", "delay_s",
+                 "_hit", "_hd", "_deferred")
 
     frame: Frame
     src: int
@@ -129,14 +156,13 @@ class AcousticModem:
         self.sim = sim
         self.node_id = node_id
         self.channel = channel
-        #: Failure injection: a disabled modem neither sends nor receives.
-        self.enabled = True
-        #: Partial outages (node alive, one chain down): a disabled TX
-        #: chain silently swallows transmissions; a disabled RX chain
-        #: drops arrivals.  The MAC keeps running and must recover through
-        #: its own timeouts — unlike ``enabled``, these never raise.
+        # Failure injection (see the ``enabled``/``rx_enabled`` properties).
+        self._enabled = True
+        self._rx_enabled = True
+        #: Partial outage: a disabled TX chain silently swallows
+        #: transmissions.  The MAC keeps running and must recover through
+        #: its own timeouts — unlike ``enabled``, this never raises.
         self.tx_enabled = True
-        self.rx_enabled = True
         self.stats = ModemStats()
         # The tracer is fixed at Simulator construction, so its enabled flag
         # can be cached: every emit call site below evaluates its arguments
@@ -152,20 +178,22 @@ class AcousticModem:
         self._link_budget = channel.link_budget
         self._per_model = channel.per_model
         self._per_rng = channel.per_rng
+        self._threshold_db = channel.decode_threshold_db
+        self._defer_below_db = channel.defer_below_db
         self._push_at = sim.push_at
         self._pool_cap = ARRIVAL_POOL_CAP
         self.on_receive: Optional[Callable[[Frame, Arrival], None]] = None
         self.on_rx_failure: Optional[Callable[[Arrival, RxOutcome], None]] = None
         self._tx_intervals: List[_TxInterval] = []
         self._arrivals: List[Arrival] = []
-        # Parallel struct-of-arrays mirror of ``_arrivals`` (slot i holds
-        # arrival i's start/end/level), so the interferer overlap scan in
-        # _decode_outcome is one vectorized window test instead of a Python
-        # loop over every pending arrival.  Grown by doubling; compacted in
-        # lock-step with the list by _prune_arrivals.
-        self._arr_start = np.empty(VECTOR_SCAN_MIN, dtype=np.float64)
-        self._arr_end = np.empty(VECTOR_SCAN_MIN, dtype=np.float64)
-        self._arr_level = np.empty(VECTOR_SCAN_MIN, dtype=np.float64)
+        # List length at which the deferred branch of begin_arrival next
+        # prunes: deferred arrivals fire no finish event, so nothing else
+        # would trim a list that only they feed.
+        self._prune_at = _MIN_PRUNE_LEN
+        #: Arrivals that reached this modem while it was alive (registered
+        #: or dropped by an RX outage); the end-of-run audit balances the
+        #: outcome counters against it.
+        self.arrivals_begun = 0
         self._rx_busy_until = 0.0
         self._last_tx_end = 0.0
         # Longest on-air duration seen (tx or rx).  Anything that ended more
@@ -175,6 +203,53 @@ class AcousticModem:
         # interval lists this tight turns _decode_outcome's interferer scan
         # from O(arrivals within 30 s) into O(arrivals within one frame).
         self._max_duration_s = 0.0
+
+    # ------------------------------------------------------------------
+    # Failure injection
+    # ------------------------------------------------------------------
+    @property
+    def enabled(self) -> bool:
+        """False once the node has failed: it neither sends nor receives."""
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        if value != self._enabled:
+            self._stop_deferring()
+            self._enabled = value
+
+    @property
+    def rx_enabled(self) -> bool:
+        """False during an RX-chain outage: arrivals are dropped as OFFLINE
+        and the MAC must recover through its own timeouts."""
+        return self._rx_enabled
+
+    @rx_enabled.setter
+    def rx_enabled(self, value: bool) -> None:
+        if value != self._rx_enabled:
+            self._stop_deferring()
+            self._rx_enabled = value
+
+    def _stop_deferring(self) -> None:
+        """Fall back to finish events for good, before an outage flag flips.
+
+        An arrival's outcome depends on the flags at its end, which a
+        deferred arrival cannot know in advance.  Those that already ended
+        are settled under the current flags; the rest get the finish event
+        they skipped, which decodes them under the flags of their end (one
+        ending at this very instant is treated as ending after the flip).
+        """
+        if self._defer_below_db == float("-inf"):
+            return
+        self._defer_below_db = float("-inf")
+        now = self.sim.now
+        for arrival in self._arrivals:
+            if arrival._deferred:
+                arrival._deferred = False
+                if arrival.end < now:
+                    self._settle_failure(arrival)
+                else:
+                    self._push_at(arrival.end, self._finish_arrival, (arrival,))
 
     # ------------------------------------------------------------------
     # Transmit path
@@ -202,7 +277,7 @@ class AcousticModem:
         protocols are responsible for serializing their own transmissions,
         and violating that is always a protocol bug worth failing loudly on.
         """
-        if not self.enabled:
+        if not self._enabled:
             raise RuntimeError(f"node {self.node_id}: transmit on a failed modem")
         if self.transmitting:
             raise RuntimeError(
@@ -220,18 +295,25 @@ class AcousticModem:
                 )
             return 0.0
         duration = frame.duration_s(self.channel.bitrate_bps)
-        frame.timestamp = self.sim.now
-        self._tx_intervals.append(_TxInterval(self.sim.now, self.sim.now + duration))
-        self._last_tx_end = self.sim.now + duration
+        now = self.sim.now
+        tx_end = now + duration
+        frame.timestamp = now
+        self._tx_intervals.append(_TxInterval(now, tx_end))
+        self._last_tx_end = tx_end
         if duration > self._max_duration_s:
             self._max_duration_s = duration
         self._prune(self._tx_intervals)
+        # Every arrival still on air overlaps this transmission (the same
+        # half-open test as _decode_outcome's interval scan).
+        for arrival in self._arrivals:
+            if arrival.end > now and tx_end > arrival.start:
+                arrival._hd = True
         self.stats.tx_frames += 1
         self.stats.tx_bits += frame.size_bits
         self.stats.tx_time_s += duration
         if self._trace_on:
             self._trace.emit(
-                self.sim.now, "phy.tx", self.node_id, frame=frame.describe(), dur=round(duration, 6)
+                now, "phy.tx", self.node_id, frame=frame.describe(), dur=round(duration, 6)
             )
         self.channel.broadcast(self, frame, duration)
         return duration
@@ -241,9 +323,10 @@ class AcousticModem:
     # ------------------------------------------------------------------
     def begin_arrival(self, arrival: Arrival) -> None:
         """Channel callback: a signal's leading edge reached this modem."""
-        if not self.enabled:
+        if not self._enabled:
             return
-        if not self.rx_enabled:
+        self.arrivals_begun += 1
+        if not self._rx_enabled:
             self.stats.rx_outage += 1
             # No finish event will ever fire for this arrival, so it can go
             # straight back to the free-list when pooling is on.
@@ -251,36 +334,40 @@ class AcousticModem:
             if pool is not None and len(pool) < self._pool_cap:
                 pool.append(arrival)
             return
-        slot = len(self._arrivals)
-        if slot == len(self._arr_start):
-            capacity = slot * 2
-            for name in ("_arr_start", "_arr_end", "_arr_level"):
-                old = getattr(self, name)
-                fresh = np.empty(capacity, dtype=np.float64)
-                fresh[:slot] = old
-                setattr(self, name, fresh)
-        arrival._slot = slot
-        self._arr_start[slot] = arrival.start
-        self._arr_end[slot] = arrival.end
-        self._arr_level[slot] = arrival.level_db
-        self._arrivals.append(arrival)
+        arrivals = self._arrivals
+        start = arrival.start
         end = arrival.end
-        duration = end - arrival.start
+        busy_from = self._rx_busy_until
+        # Overlap flags (see Arrival): _rx_busy_until is the latest end of
+        # any registered arrival, _last_tx_end that of any transmission.
+        arrival._hit = busy_from > start
+        if arrivals and arrivals[-1].end > start:
+            arrivals[-1]._hit = True
+        arrival._hd = self._last_tx_end > start
+        arrivals.append(arrival)
+        duration = end - start
         if duration > self._max_duration_s:
             self._max_duration_s = duration
         # Accumulate receiver-busy time as interval union (overlaps counted once).
-        busy_from = self._rx_busy_until
-        if busy_from < arrival.start:
-            busy_from = arrival.start
+        if busy_from < start:
+            busy_from = start
         if end > busy_from:
             self.stats.rx_busy_time_s += end - busy_from
             self._rx_busy_until = end
+        if arrival.level_db < self._defer_below_db:
+            # Certain failure: settled from its flags when pruned.
+            arrival._deferred = True
+            if len(arrivals) >= self._prune_at:
+                self._prune_arrivals()
+                self._prune_at = max(2 * len(self._arrivals), _MIN_PRUNE_LEN)
+            return
+        arrival._deferred = False
         # Fast-path push: the end time is trivially >= now, so the
         # schedule_at validation wrapper adds nothing but a call frame.
         self._push_at(end, self._finish_arrival, (arrival,))
 
     def _finish_arrival(self, arrival: Arrival) -> None:
-        if not self.enabled or not self.rx_enabled:
+        if not self._enabled or not self._rx_enabled:
             # The node died (or its RX chain dropped) while this signal was
             # in flight: nothing is decoded and no RNG is drawn, so clean
             # runs — where both flags are always True — are untouched.
@@ -307,12 +394,7 @@ class AcousticModem:
             if self.on_receive is not None:
                 self.on_receive(arrival.frame, arrival)
         else:
-            if outcome is RxOutcome.HALF_DUPLEX:
-                self.stats.rx_half_duplex += 1
-            elif outcome is RxOutcome.COLLISION:
-                self.stats.rx_collision += 1
-            else:
-                self.stats.rx_noise += 1
+            self._count_failure(outcome)
             if self._trace_on:
                 self._trace.emit(
                     self.sim.now,
@@ -331,35 +413,88 @@ class AcousticModem:
         for iv in self._tx_intervals:
             if iv.start < a_end and iv.end > a_start:
                 return RxOutcome.HALF_DUPLEX
-        n = len(self._arrivals)
-        if n >= VECTOR_SCAN_MIN:
-            # Vectorized overlap-window scan over the parallel arrays.
-            # Identical comparisons, level values and (slot == list) order
-            # as the comprehension below, so the result is bit-for-bit the
-            # same — .tolist() round-trips float64 exactly, and the
-            # interference sum in sinr_db_from_levels runs in list order.
-            mask = (self._arr_start[:n] < a_end) & (self._arr_end[:n] > a_start)
-            mask[arrival._slot] = False
-            if mask.any():
-                interferer_levels = self._arr_level[:n][mask].tolist()
-            else:
-                interferer_levels = []
-        else:
+        if arrival._hit:
             interferer_levels = [
                 other.level_db
                 for other in self._arrivals
                 if other is not arrival and other.start < a_end and other.end > a_start
             ]
+        else:
+            interferer_levels = []
         sinr_db = self._link_budget.sinr_db_from_levels(
             arrival.level_db,
             interferer_levels,
             extra_noise_db=self.channel.extra_noise_db,
         )
-        draw = self._per_rng.random()
-        ok = self._per_model.is_successful(sinr_db, arrival.frame.size_bits, draw)
+        threshold_db = self._threshold_db
+        if threshold_db is not None:
+            ok = sinr_db >= threshold_db
+        else:
+            ok = self._per_model.is_successful(
+                sinr_db, arrival.frame.size_bits, self._per_rng.random()
+            )
         if ok:
             return RxOutcome.OK
         return RxOutcome.COLLISION if interferer_levels else RxOutcome.NOISE
+
+    def _count_failure(self, outcome: RxOutcome) -> None:
+        if outcome is RxOutcome.HALF_DUPLEX:
+            self.stats.rx_half_duplex += 1
+        elif outcome is RxOutcome.COLLISION:
+            self.stats.rx_collision += 1
+        else:
+            self.stats.rx_noise += 1
+
+    def _settle_failure(self, arrival: Arrival) -> None:
+        """Count and report a deferred arrival's failure."""
+        if arrival._hd:
+            outcome = RxOutcome.HALF_DUPLEX
+        elif arrival._hit:
+            outcome = RxOutcome.COLLISION
+        else:
+            outcome = RxOutcome.NOISE
+        self._count_failure(outcome)
+        if self.on_rx_failure is not None:
+            self.on_rx_failure(arrival, outcome)
+
+    def settle(self) -> None:
+        """Settle every deferred arrival that has ended by now.
+
+        Call at the end of a run: these are the arrivals whose finish
+        events the run would have fired, so afterwards the outcome
+        counters are final.  Arrivals still on air stay pending.
+        """
+        now = self.sim.now
+        for arrival in self._arrivals:
+            if arrival._deferred and arrival.end <= now:
+                arrival._deferred = False
+                self._settle_failure(arrival)
+
+    def audit_arrivals(self) -> List[str]:
+        """End-of-run arrival conservation check (empty list = clean).
+
+        After :meth:`settle`, every arrival that reached this modem has
+        ended with exactly one outcome count, unless it is still on air.
+        """
+        now = self.sim.now
+        violations = []
+        on_air = 0
+        for arrival in self._arrivals:
+            if arrival.end > now:
+                on_air += 1
+            elif arrival._deferred:
+                violations.append(
+                    f"node {self.node_id}: arrival from {arrival.src} ended at "
+                    f"{arrival.end:.6f} s but was never settled"
+                )
+        s = self.stats
+        settled = s.rx_ok + s.rx_noise + s.rx_collision + s.rx_half_duplex + s.rx_outage
+        if settled != self.arrivals_begun - on_air:
+            violations.append(
+                f"node {self.node_id}: {settled} arrival outcomes for "
+                f"{self.arrivals_begun} arrivals begun, {on_air} still on air"
+            )
+        return violations
 
     # ------------------------------------------------------------------
     # Housekeeping
@@ -374,24 +509,20 @@ class AcousticModem:
         horizon = self.sim.now - self._max_duration_s
         if not arrivals or arrivals[0].end >= horizon:
             return
-        # Compact list and parallel arrays in lock-step, reassigning slots.
-        # Pruned arrivals' finish events have already fired (they end before
-        # the horizon, which trails now), so with pooling on they can be
-        # recycled — no MAC retains arrivals past its receive callback.
-        starts = self._arr_start
-        ends = self._arr_end
-        levels = self._arr_level
+        # Arrivals past the horizon can no longer overlap anything, and
+        # their finish events have fired (they end before the horizon,
+        # which trails now).  A deferred one is settled here, in place of
+        # the finish event it never had.  With pooling on the records are
+        # then recycled — no MAC retains arrivals past its receive callback.
         pool = self.channel.arrival_pool
         cap = self._pool_cap
         kept: List[Arrival] = []
         for a in arrivals:
             if a.end >= horizon:
-                slot = len(kept)
-                a._slot = slot
-                starts[slot] = a.start
-                ends[slot] = a.end
-                levels[slot] = a.level_db
                 kept.append(a)
-            elif pool is not None and len(pool) < cap:
+                continue
+            if a._deferred:
+                self._settle_failure(a)
+            if pool is not None and len(pool) < cap:
                 pool.append(a)
         self._arrivals = kept

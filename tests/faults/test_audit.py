@@ -15,13 +15,14 @@ import pytest
 from repro.experiments.chaos import CHAOS_PROTOCOLS, chaos_plan
 from repro.experiments.config import table2_config
 from repro.experiments.scenario import run_scenario
-from repro.faults.audit import FaultAuditError, audit_mac, audit_macs
+from repro.faults.audit import ArrivalAuditError, FaultAuditError, audit_mac, audit_macs
 from repro.faults.plan import CrashWave, FaultPlan
 from repro.mac.base import MacState
 from repro.mac.registry import get_protocol
 from repro.mac.slots import make_slot_timing
 from repro.net.node import Node
 from repro.phy.channel import AcousticChannel
+from repro.phy.modem import RxOutcome
 
 from repro.acoustic.geometry import Position
 from repro.des.simulator import Simulator
@@ -175,3 +176,35 @@ class TestFaultlessScenario:
         assert result.faults.crashes == 10  # every non-sink died
         assert result.faults.recoveries == 10
         assert result.faults.wedged_handshakes == 0
+
+
+class TestArrivalAudit:
+    """The arrival audit runs at the end of every scenario, faulted or not."""
+
+    def _config(self, **overrides):
+        return table2_config(sim_time_s=20.0, seed=3, **overrides)
+
+    def test_clean_and_faulted_runs_pass(self):
+        run_scenario(self._config())
+        plan = chaos_plan(fraction=0.2, warmup_s=10.0, sim_time_s=20.0, n_sensors=60)
+        run_scenario(self._config(faults=plan))
+
+    def test_a_broken_settle_fails_the_run(self, monkeypatch):
+        from repro.phy.modem import AcousticModem
+
+        monkeypatch.setattr(AcousticModem, "settle", lambda self: None)
+        with pytest.raises(ArrivalAuditError, match="never settled"):
+            run_scenario(self._config())
+
+    def test_a_lost_outcome_count_fails_the_run(self, monkeypatch):
+        from repro.phy.modem import AcousticModem
+
+        real = AcousticModem._count_failure
+
+        def drop_noise(self, outcome):
+            if outcome is not RxOutcome.NOISE:
+                real(self, outcome)
+
+        monkeypatch.setattr(AcousticModem, "_count_failure", drop_noise)
+        with pytest.raises(ArrivalAuditError, match="outcomes for"):
+            run_scenario(self._config())

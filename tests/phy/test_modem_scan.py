@@ -1,10 +1,7 @@
-"""Vectorized interferer scan and Arrival free-list behavior.
+"""Arrival free-list behavior.
 
-``_decode_outcome`` switches from a Python comprehension to a NumPy
-overlap-window scan once the live-arrival list reaches ``VECTOR_SCAN_MIN``.
-Both paths must pick exactly the same interferer levels — the scan is an
-implementation detail, not a model change — and the channel-owned Arrival
-pool must recycle records without perturbing any delivered frame.
+The channel-owned Arrival pool must recycle records without perturbing
+any delivered frame.
 """
 
 import json
@@ -21,8 +18,7 @@ def _flat(result):
 
 
 def _config(seed):
-    # High load in a dense column so arrival lists routinely exceed the
-    # vector-scan threshold and interference actually decides outcomes.
+    # High load in a dense column so interference actually decides outcomes.
     return table2_config(
         protocol="ALOHA",
         sim_time_s=40.0,
@@ -30,22 +26,6 @@ def _config(seed):
         seed=seed,
         mobility=True,
     )
-
-
-class TestVectorScanEquivalence:
-    @pytest.mark.parametrize("seed", [3, 29])
-    def test_scan_paths_identical(self, monkeypatch, seed):
-        vectorized = run_scenario(_config(seed))
-        # Force the list-comprehension path for every decode.
-        monkeypatch.setattr(modem_mod, "VECTOR_SCAN_MIN", 10**9)
-        scalar = run_scenario(_config(seed))
-        assert _flat(vectorized) == _flat(scalar)
-
-    def test_scan_arrays_grow_past_initial_capacity(self):
-        result = run_scenario(_config(seed=3))
-        # The run is only a meaningful scan test if lists actually crossed
-        # the threshold; collisions prove overlapping arrivals existed.
-        assert result.collisions > 0
 
 
 class TestArrivalPool:

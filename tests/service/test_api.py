@@ -7,7 +7,9 @@ without running any simulation.
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -138,6 +140,27 @@ def test_healthz_and_targets(service):
     assert status == 200
     assert "fig6" in targets["targets"]
     assert "chaos" in targets["targets"]
+
+
+def test_keep_alive_round_trips_do_not_stall(service):
+    # Headers and body go out in separate writes; with Nagle's algorithm
+    # on, the body waits for the client's delayed ACK (~40 ms) on every
+    # response after the first on a kept-alive connection.
+    base, _, _ = service
+    host, port = base.split("//", 1)[1].split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        round_trips = []
+        for _ in range(10):
+            started = time.perf_counter()
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            json.loads(response.read())
+            round_trips.append(time.perf_counter() - started)
+    finally:
+        connection.close()
+    assert statistics.median(round_trips) < 0.020, round_trips
 
 
 def test_submit_run_fetch_roundtrip(service):
