@@ -127,6 +127,10 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
+        #: Draw the next sequence number without scheduling anything, for a
+        #: caller that keeps an entry outside the heap but must not shift
+        #: the seq of any later entry (see :meth:`push_reserved`).
+        self.reserve_seq = self._seq.__next__
         self._live = 0
 
     def __len__(self) -> int:
@@ -168,6 +172,22 @@ class EventQueue:
         heapq.heappush(
             self._heap, (time, priority, next(self._seq), None, callback, args)
         )
+        self._live += 1
+
+    def push_reserved(
+        self,
+        time: float,
+        priority: int,
+        seq: int,
+        callback: Callable[..., Any],
+        args: Tuple[Any, ...] = (),
+    ) -> None:
+        """:meth:`push_plain` with a ``seq`` drawn earlier by :meth:`reserve_seq`.
+
+        The entry pops exactly where it would have, had it been pushed when
+        its seq was drawn.
+        """
+        heapq.heappush(self._heap, (time, priority, seq, None, callback, args))
         self._live += 1
 
     def pop(self) -> Optional[Event]:

@@ -53,6 +53,15 @@ class Simulator:
         #: already known to be >= ``now`` and who never cancel; everything
         #: else should keep using :meth:`schedule` / :meth:`schedule_at`.
         self.push_at = self._queue.push_plain
+        #: Seq reservation for entries kept outside the kernel heap (see
+        #: :meth:`EventQueue.push_reserved`).
+        self.reserve_seq = self._queue.reserve_seq
+        self.push_reserved = self._queue.push_reserved
+        #: The heap entry now firing — ``(time, priority, seq, ...)`` — while
+        #: :meth:`run` or :meth:`step` dispatches it, else None.  A component
+        #: that keeps reserved-seq entries outside the heap compares their
+        #: keys against it to tell which of them the kernel has passed.
+        self.firing: Optional[tuple] = None
         self._running = False
         self._stopped = False
         self.events_processed = 0
@@ -175,6 +184,7 @@ class Simulator:
                         self.now = until
                     break
                 self.now = entry[0]
+                self.firing = entry
                 events_processed += 1
                 countdown -= 1
                 if countdown == 0:
@@ -201,6 +211,7 @@ class Simulator:
             pass
         finally:
             self._running = False
+            self.firing = None
             self.events_processed += events_processed
             self.wall_time_s += _time.perf_counter() - wall_start
             if gc_was_enabled:
@@ -214,7 +225,11 @@ class Simulator:
             return False
         self.now = event.time
         self.events_processed += 1
-        event._fire()
+        self.firing = (event.time, event.priority, event.seq)
+        try:
+            event._fire()
+        finally:
+            self.firing = None
         return True
 
     def stop(self) -> None:

@@ -3,8 +3,9 @@
 Two audits live here.  :func:`audit_modems` runs at the end of *every*
 scenario: each arrival that reached a modem must have ended with exactly
 one outcome count (decoded, failed, or dropped by an outage) unless it is
-still on air, and no deferred certain-failure arrival that has ended may
-be left unsettled.  A violation raises :class:`ArrivalAuditError` — it
+still on air, no deferred certain-failure arrival that has ended may be
+left unsettled, and none that has begun may be left unregistered on its
+receiver's queue.  A violation raises :class:`ArrivalAuditError` — it
 means the receive path lost or double-counted an arrival.  The MAC audit
 below runs after faulted runs.
 

@@ -17,6 +17,7 @@ robustness ablations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Callable, Dict, Optional, Tuple
 
 from ..acoustic.fading import FadingProcess, NoFading
@@ -103,17 +104,18 @@ class AcousticChannel:
             callers may legitimately retain Arrival references past the
             receive callback; the scenario layer — whose MACs never do —
             always turns it on.
-        defer_failures: Settle certain-failure arrivals without a finish
-            event or a decode (see :mod:`repro.phy.modem`).  Outcome
-            counts are unchanged, but the failure callback for such an
-            arrival fires when its receiver prunes it — or at
+        defer_failures: Register certain-failure arrivals lazily, with no
+            kernel event, and settle them without a finish event or a
+            decode (see :mod:`repro.phy.modem`).  Outcome counts are
+            unchanged, but the failure callback for such an arrival fires
+            when its receiver prunes it — or at
             :meth:`~repro.phy.modem.AcousticModem.settle` — rather than
             at its end.  A run must end at a fixed time (``run(until=)``;
-            a drained queue stops before a deferred arrival's end) and
-            then call ``settle`` on every modem.  Takes effect only under
-            the threshold PER model and with tracing off (settlement
-            emits no trace records).  Off by default; the scenario layer
-            turns it on for runs without a fault plan.
+            a drained queue stops before a deferred arrival's start or
+            end) and then call ``settle`` on every modem.  Takes effect
+            only under the threshold PER model and with tracing off
+            (settlement emits no trace records).  Off by default; the
+            scenario layer turns it on for runs without a fault plan.
     """
 
     def __init__(
@@ -316,10 +318,19 @@ class AcousticChannel:
         duration_s: float,
         targets: "list[Tuple[int, AcousticModem, float, float]]",
     ) -> None:
-        """Schedule one Arrival per in-reach target ``(id, modem, delay, level)``."""
+        """Schedule one Arrival per in-reach target ``(id, modem, delay, level)``.
+
+        A certain failure for its receiver (see :mod:`repro.phy.modem`)
+        gets no kernel event: it is queued on the receiver under the seq
+        its begin event would have drawn, and registered when the
+        receiver next catches up.  One starting at this very instant
+        still gets its event, so every queued arrival begins after the
+        entry now firing.
+        """
         now = self.sim.now
         stats = self.stats
         push_at = self.sim.push_at
+        reserve_seq = self.sim.reserve_seq
         fading_active = self._fading_active
         pool = self.arrival_pool
         for node_id, modem, delay, level in targets:
@@ -339,8 +350,11 @@ class AcousticChannel:
                 arrival.delay_s = delay
             else:
                 arrival = Arrival(frame, tx_id, start, start + duration_s, level, delay)
-            # High priority so arrivals register before same-instant MAC logic.
-            push_at(start, modem.begin_arrival, (arrival,), PRIORITY_HIGH)
+            if level < modem._defer_below_db and start > now:
+                heappush(modem._queued, (start, reserve_seq(), arrival))
+            else:
+                # High priority so arrivals register before same-instant MAC logic.
+                push_at(start, modem.begin_arrival, (arrival,), PRIORITY_HIGH)
         stats.deliveries += len(targets)
 
     # ------------------------------------------------------------------

@@ -29,14 +29,32 @@ and reported through :attr:`AcousticModem.on_rx_failure` — when the
 receiver prunes it, or by :meth:`AcousticModem.settle` at the end of a
 run.  Outcome counts are identical to decoding it at its end; only the
 moment of the failure callback moves.
+
+Lazy registration.  A certain failure needs no kernel event to begin
+either.  The channel pushes it onto its receiver's small queue of
+``(start, seq, arrival)`` entries, with the seq its begin event would have
+drawn from the kernel, so no other event's place in the global order
+moves.  Before any method that reads or changes arrival state
+(:meth:`~AcousticModem.begin_arrival`, the finish event,
+:meth:`~AcousticModem.transmit`, :meth:`~AcousticModem.settle`,
+:meth:`~AcousticModem.audit_arrivals` and the outage setters) the modem
+*catches up*: it registers, in key order, every queued arrival whose begin
+key ``(start, PRIORITY_HIGH, seq)`` the kernel has passed — it sorts
+before the entry now firing, or, outside a run, starts no later than now.
+Registration is the same code an event-driven begin runs, and nothing it
+reads can change between the begin key and the catch-up, so every flag,
+busy-time sum and outcome is exactly what the begin event would have
+produced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, TYPE_CHECKING
+from heapq import heappop
+from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
+from ..des.events import PRIORITY_HIGH
 from ..des.simulator import Simulator
 from .frame import Frame
 
@@ -47,8 +65,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: read once when a modem is constructed; 0 disables recycling.
 ARRIVAL_POOL_CAP = 4096
 
-#: Smallest pending-arrival list the deferred branch of
-#: :meth:`AcousticModem.begin_arrival` lets grow before pruning again.
+#: Smallest pending-arrival list that deferred registrations let grow
+#: before pruning again.
 _MIN_PRUNE_LEN = 16
 
 
@@ -91,8 +109,9 @@ class Arrival:
       successor began no later than B, so also before A ended, and
       marked A.  A decode with ``_hit`` false needs no interferer scan.
     * ``_hd`` — one of the modem's own transmissions overlaps this
-      arrival: set at begin when a transmission is still on air, and by
-      every later transmission that starts before the arrival ends.
+      arrival (HALF_DUPLEX): set at begin when a transmission is still on
+      air, and by every later transmission that starts before the
+      arrival ends.
     * ``_deferred`` — a certain failure awaiting settlement (see the
       module docstring): its outcome is HALF_DUPLEX if ``_hd``, else
       COLLISION if ``_hit``, else NOISE.
@@ -136,14 +155,6 @@ class ModemStats:
         }[outcome]
 
 
-@dataclass
-class _TxInterval:
-    __slots__ = ("start", "end")
-
-    start: float
-    end: float
-
-
 class AcousticModem:
     """The half-duplex transceiver owned by one sensor node.
 
@@ -184,11 +195,13 @@ class AcousticModem:
         self._pool_cap = ARRIVAL_POOL_CAP
         self.on_receive: Optional[Callable[[Frame, Arrival], None]] = None
         self.on_rx_failure: Optional[Callable[[Arrival, RxOutcome], None]] = None
-        self._tx_intervals: List[_TxInterval] = []
         self._arrivals: List[Arrival] = []
-        # List length at which the deferred branch of begin_arrival next
-        # prunes: deferred arrivals fire no finish event, so nothing else
-        # would trim a list that only they feed.
+        #: Certain failures not yet registered, as a min-heap of
+        #: ``(start, seq, arrival)`` (see "Lazy registration" above).
+        self._queued: List[Tuple[float, int, Arrival]] = []
+        # List length at which deferred registrations next prune: deferred
+        # arrivals fire no finish event, so nothing else would trim a list
+        # that only they feed.
         self._prune_at = _MIN_PRUNE_LEN
         #: Arrivals that reached this modem while it was alive (registered
         #: or dropped by an RX outage); the end-of-run audit balances the
@@ -200,7 +213,7 @@ class AcousticModem:
         # than this long ago cannot overlap an arrival still in flight — an
         # in-flight arrival started at most one duration before now — so it
         # is the exact retention horizon for the overlap scans.  Keeping the
-        # interval lists this tight turns _decode_outcome's interferer scan
+        # arrival list this tight turns _decode_outcome's interferer scan
         # from O(arrivals within 30 s) into O(arrivals within one frame).
         self._max_duration_s = 0.0
 
@@ -231,16 +244,20 @@ class AcousticModem:
             self._rx_enabled = value
 
     def _stop_deferring(self) -> None:
-        """Fall back to finish events for good, before an outage flag flips.
+        """Fall back to kernel events for good, before an outage flag flips.
 
         An arrival's outcome depends on the flags at its end, which a
         deferred arrival cannot know in advance.  Those that already ended
         are settled under the current flags; the rest get the finish event
         they skipped, which decodes them under the flags of their end (one
         ending at this very instant is treated as ending after the flip).
+        Arrivals still queued go back to the kernel as ordinary begin
+        events with their reserved seqs, so they begin under the flags of
+        their start, exactly where their begin events would have fired.
         """
         if self._defer_below_db == float("-inf"):
             return
+        self._catch_up()
         self._defer_below_db = float("-inf")
         now = self.sim.now
         for arrival in self._arrivals:
@@ -250,6 +267,10 @@ class AcousticModem:
                     self._settle_failure(arrival)
                 else:
                     self._push_at(arrival.end, self._finish_arrival, (arrival,))
+        push_reserved = self.sim.push_reserved
+        for start, seq, arrival in self._queued:
+            push_reserved(start, PRIORITY_HIGH, seq, self.begin_arrival, (arrival,))
+        self._queued = []
 
     # ------------------------------------------------------------------
     # Transmit path
@@ -277,6 +298,9 @@ class AcousticModem:
         protocols are responsible for serializing their own transmissions,
         and violating that is always a protocol bug worth failing loudly on.
         """
+        queued = self._queued
+        if queued and queued[0][0] <= self.sim.now:
+            self._catch_up()
         if not self._enabled:
             raise RuntimeError(f"node {self.node_id}: transmit on a failed modem")
         if self.transmitting:
@@ -298,13 +322,11 @@ class AcousticModem:
         now = self.sim.now
         tx_end = now + duration
         frame.timestamp = now
-        self._tx_intervals.append(_TxInterval(now, tx_end))
         self._last_tx_end = tx_end
         if duration > self._max_duration_s:
             self._max_duration_s = duration
-        self._prune(self._tx_intervals)
-        # Every arrival still on air overlaps this transmission (the same
-        # half-open test as _decode_outcome's interval scan).
+        # Every arrival still on air overlaps this transmission (the
+        # half-open test ``tx.start < a.end and tx.end > a.start``).
         for arrival in self._arrivals:
             if arrival.end > now and tx_end > arrival.start:
                 arrival._hd = True
@@ -323,10 +345,13 @@ class AcousticModem:
     # ------------------------------------------------------------------
     def begin_arrival(self, arrival: Arrival) -> None:
         """Channel callback: a signal's leading edge reached this modem."""
+        queued = self._queued
+        if queued and queued[0][0] <= self.sim.now:
+            self._catch_up()
         if not self._enabled:
             return
-        self.arrivals_begun += 1
         if not self._rx_enabled:
+            self.arrivals_begun += 1
             self.stats.rx_outage += 1
             # No finish event will ever fire for this arrival, so it can go
             # straight back to the free-list when pooling is on.
@@ -334,6 +359,25 @@ class AcousticModem:
             if pool is not None and len(pool) < self._pool_cap:
                 pool.append(arrival)
             return
+        self._register(arrival)
+        if arrival.level_db < self._defer_below_db:
+            # Certain failure the channel did not queue (it begins the
+            # instant it is sent): settled from its flags when pruned.
+            arrival._deferred = True
+            self._prune_deferred()
+            return
+        arrival._deferred = False
+        # Fast-path push: the end time is trivially >= now, so the
+        # schedule_at validation wrapper adds nothing but a call frame.
+        self._push_at(arrival.end, self._finish_arrival, (arrival,))
+
+    def _register(self, arrival: Arrival) -> None:
+        """Register a beginning arrival: overlap flags, busy time, pending list.
+
+        The one registration path, for event-driven begins and for queued
+        certain failures caught up later alike.
+        """
+        self.arrivals_begun += 1
         arrivals = self._arrivals
         start = arrival.start
         end = arrival.end
@@ -354,19 +398,53 @@ class AcousticModem:
         if end > busy_from:
             self.stats.rx_busy_time_s += end - busy_from
             self._rx_busy_until = end
-        if arrival.level_db < self._defer_below_db:
-            # Certain failure: settled from its flags when pruned.
+
+    def _prune_deferred(self) -> None:
+        """Prune once the list that deferred registrations feed has doubled."""
+        if len(self._arrivals) >= self._prune_at:
+            self._prune_arrivals()
+            self._prune_at = max(2 * len(self._arrivals), _MIN_PRUNE_LEN)
+
+    def _begun(self, start: float, seq: int) -> bool:
+        """Whether the kernel has passed a queued arrival's begin key.
+
+        The key ``(start, PRIORITY_HIGH, seq)`` has been passed when it
+        sorts before the entry now firing, or, outside a run, when
+        ``start <= now``.
+        """
+        now = self.sim.now
+        if start != now:
+            return start < now
+        firing = self.sim.firing
+        if firing is None:
+            return True
+        priority = firing[1]
+        return PRIORITY_HIGH < priority or (PRIORITY_HIGH == priority and seq < firing[2])
+
+    def _catch_up(self) -> None:
+        """Register, in key order, every queued arrival the kernel has passed.
+
+        The whole batch registers before any prune: a prune between two
+        registrations could drop the tail whose ``_hit`` the next one sets.
+        """
+        queued = self._queued
+        now = self.sim.now
+        registered = False
+        while queued:
+            start, seq, arrival = queued[0]
+            if start >= now and not self._begun(start, seq):
+                break
+            heappop(queued)
+            self._register(arrival)
             arrival._deferred = True
-            if len(arrivals) >= self._prune_at:
-                self._prune_arrivals()
-                self._prune_at = max(2 * len(self._arrivals), _MIN_PRUNE_LEN)
-            return
-        arrival._deferred = False
-        # Fast-path push: the end time is trivially >= now, so the
-        # schedule_at validation wrapper adds nothing but a call frame.
-        self._push_at(end, self._finish_arrival, (arrival,))
+            registered = True
+        if registered:
+            self._prune_deferred()
 
     def _finish_arrival(self, arrival: Arrival) -> None:
+        queued = self._queued
+        if queued and queued[0][0] <= self.sim.now:
+            self._catch_up()
         if not self._enabled or not self._rx_enabled:
             # The node died (or its RX chain dropped) while this signal was
             # in flight: nothing is decoded and no RNG is drawn, so clean
@@ -407,12 +485,11 @@ class AcousticModem:
                 self.on_rx_failure(arrival, outcome)
 
     def _decode_outcome(self, arrival: Arrival) -> RxOutcome:
+        # Half-duplex: any own transmission overlapping the arrival kills it.
+        if arrival._hd:
+            return RxOutcome.HALF_DUPLEX
         a_start = arrival.start
         a_end = arrival.end
-        # Half-duplex: any own transmission overlapping the arrival kills it.
-        for iv in self._tx_intervals:
-            if iv.start < a_end and iv.end > a_start:
-                return RxOutcome.HALF_DUPLEX
         if arrival._hit:
             interferer_levels = [
                 other.level_db
@@ -464,6 +541,7 @@ class AcousticModem:
         events the run would have fired, so afterwards the outcome
         counters are final.  Arrivals still on air stay pending.
         """
+        self._catch_up()
         now = self.sim.now
         for arrival in self._arrivals:
             if arrival._deferred and arrival.end <= now:
@@ -474,10 +552,17 @@ class AcousticModem:
         """End-of-run arrival conservation check (empty list = clean).
 
         After :meth:`settle`, every arrival that reached this modem has
-        ended with exactly one outcome count, unless it is still on air.
+        ended with exactly one outcome count, unless it is still on air,
+        and no queued arrival that the kernel has passed is unregistered.
         """
+        self._catch_up()
         now = self.sim.now
-        violations = []
+        violations = [
+            f"node {self.node_id}: arrival from {arrival.src} began at "
+            f"{start:.6f} s but was never registered"
+            for start, seq, arrival in self._queued
+            if self._begun(start, seq)
+        ]
         on_air = 0
         for arrival in self._arrivals:
             if arrival.end > now:
@@ -499,11 +584,6 @@ class AcousticModem:
     # ------------------------------------------------------------------
     # Housekeeping
     # ------------------------------------------------------------------
-    def _prune(self, intervals: List[_TxInterval]) -> None:
-        horizon = self.sim.now - self._max_duration_s
-        if intervals and intervals[0].end < horizon:
-            intervals[:] = [iv for iv in intervals if iv.end >= horizon]
-
     def _prune_arrivals(self) -> None:
         arrivals = self._arrivals
         horizon = self.sim.now - self._max_duration_s

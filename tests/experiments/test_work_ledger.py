@@ -39,15 +39,23 @@ def measure(name: str) -> dict:
     scenario.run_steady_state()
     modems = [node.modem.stats for node in scenario.nodes]
     channel = scenario.channel.stats
+    macs = scenario.macs
     return {
         "des.events": scenario.sim.events_processed,
         "channel.broadcasts": channel.broadcasts,
         "channel.deliveries": channel.deliveries,
+        "geometry.grid_candidates": channel.grid_candidates,
+        "geometry.rows_refreshed": channel.rows_refreshed,
         "modem.ok": sum(m.rx_ok for m in modems),
         "modem.noise": sum(m.rx_noise for m in modems),
         "modem.collision": sum(m.rx_collision for m in modems),
         "modem.half_duplex": sum(m.rx_half_duplex for m in modems),
         "modem.outage": sum(m.rx_outage for m in modems),
+        "mac.handshakes_started": sum(m.stats.handshakes_started for m in macs),
+        "mac.handshakes_completed": sum(m.stats.handshakes_completed for m in macs),
+        "mac.extra_completed": sum(
+            getattr(getattr(m, "extra_stats", None), "completed", 0) for m in macs
+        ),
     }
 
 

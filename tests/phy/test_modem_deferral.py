@@ -13,12 +13,13 @@ import dataclasses
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.acoustic.fading import RayleighBlockFading
 from repro.acoustic.geometry import Position
 from repro.acoustic.per import RayleighBerPerModel
+from repro.des.events import PRIORITY_HIGH
 from repro.des.simulator import Simulator
 from repro.des.trace import Tracer
 from repro.phy.channel import AcousticChannel
@@ -110,7 +111,8 @@ class TestSettlement:
             assert failures == [RxOutcome.NOISE]
             assert b.audit_arrivals() == []
             events[defer] = sim.events_processed
-        assert events[True] == events[False] - 1
+        # Neither a begin event nor a finish event for the certain failure.
+        assert events[True] == events[False] - 2
 
     def test_audit_reports_an_unsettled_arrival(self):
         sim = Simulator()
@@ -122,6 +124,122 @@ class TestSettlement:
         assert len(violations) == 2  # the pending arrival, and the count gap
         b.settle()
         assert b.audit_arrivals() == []
+
+
+class TestLazyRegistration:
+    """Certain failures wait on their receiver's queue, with no begin event."""
+
+    @staticmethod
+    def _pair(defer):
+        sim = Simulator()
+        channel = AcousticChannel(sim, interference_range_factor=2.0, defer_failures=defer)
+        a, b = _modems(channel, [0.0, 2500.0])
+        return sim, a, b
+
+    @pytest.mark.parametrize("flip_first", [True, False])
+    def test_same_instant_event_keeps_kernel_order(self, flip_first):
+        # b fails at exactly the instant a's beyond-range frame starts
+        # arriving, at the arrival's own priority, so only the seqs order
+        # them: failing first means the arrival never begins, failing
+        # second means it begins and ends OFFLINE.
+        probe_sim, probe_a, probe_b = self._pair(True)
+        probe_a.transmit(control_frame(FrameType.RTS, 0, 1, timestamp=0.0))
+        start = probe_b._queued[0][0]
+        stats = {}
+        for defer in (False, True):
+            sim, a, b = self._pair(defer)
+
+            def fail():
+                b.enabled = False
+
+            def schedule_fail():
+                sim.schedule_at(start, fail, priority=PRIORITY_HIGH)
+
+            if flip_first:
+                schedule_fail()  # drawn before the arrival's seq
+            sim.schedule(0.0, a.transmit, control_frame(FrameType.RTS, 0, 1, timestamp=0.0))
+            if not flip_first:
+                sim.schedule(0.0, schedule_fail)  # drawn after it
+            sim.run(until=5.0)
+            b.settle()
+            assert b.audit_arrivals() == []
+            stats[defer] = (dataclasses.asdict(b.stats), b.arrivals_begun)
+        assert stats[True] == stats[False]
+        assert stats[True][0]["rx_outage"] == (0 if flip_first else 1)
+        assert stats[True][1] == (0 if flip_first else 1)
+
+    def test_enabled_flip_hands_queued_arrivals_back_with_their_seqs(self):
+        stats = {}
+        for defer in (False, True):
+            sim, a, b = self._pair(defer)
+            handed = {}
+            # Three frames reach b over [1.67, 2.01), [2.17, 2.51) and
+            # [2.67, 3.01): at the flip the first has ended (NOISE), the
+            # second is in flight (OFFLINE) and the third is still queued
+            # (it never begins on a dead modem).
+            for t in (0.0, 0.5, 1.0):
+                sim.schedule(t, a.transmit, data_frame(0, 1, t, size_bits=4096))
+
+            def fail():
+                # Nothing has touched b yet, so all three are still queued;
+                # the flip registers the two that began and hands back the
+                # one still to come.
+                handed["all"] = len(b._queued)
+                handed["queued"] = [seq for start, seq, _ in b._queued if start > sim.now]
+                b.enabled = False
+                handed["kernel"] = sorted(
+                    entry[2] for entry in sim._queue._heap
+                    if entry[3] is None and entry[4] == b.begin_arrival
+                )
+
+            sim.schedule(2.3, fail)
+            sim.run(until=5.0)
+            b.settle()
+            assert b.audit_arrivals() == []
+            if defer:
+                assert handed["all"] == 3
+                assert len(handed["queued"]) == 1
+                assert handed["kernel"] == handed["queued"]
+                assert b._queued == []
+            stats[defer] = (dataclasses.asdict(b.stats), b.arrivals_begun)
+        assert stats[True] == stats[False]
+        assert stats[True][0]["rx_noise"] == 1
+        assert stats[True][0]["rx_outage"] == 1
+        assert stats[True][1] == 2
+
+    def test_catch_up_registers_a_whole_batch_before_pruning(self):
+        # Nothing touches b until the end, so one catch-up registers all 25
+        # arrivals: a lone one, then 12 pairs that overlap exactly.  A
+        # prune between two registrations would settle the first of a pair
+        # before its partner marks it, as NOISE instead of COLLISION.
+        stats = {}
+        for defer in (False, True):
+            sim = Simulator()
+            channel = AcousticChannel(
+                sim, interference_range_factor=2.0, defer_failures=defer
+            )
+            a, b, c = _modems(channel, [0.0, 2500.0, 5000.0])
+            sim.schedule(0.0, a.transmit, control_frame(FrameType.RTS, 0, 1, timestamp=0.0))
+            for k in range(1, 13):
+                t = 0.5 * k
+                sim.schedule(t, a.transmit, control_frame(FrameType.RTS, 0, 1, timestamp=t))
+                sim.schedule(t, c.transmit, control_frame(FrameType.RTS, 2, 1, timestamp=t))
+            sim.run(until=10.0)
+            b.settle()
+            assert b.audit_arrivals() == []
+            stats[defer] = dataclasses.asdict(b.stats)
+        assert stats[True] == stats[False]
+        assert (stats[True]["rx_noise"], stats[True]["rx_collision"]) == (1, 24)
+
+    def test_audit_reports_a_due_arrival_never_registered(self):
+        sim, a, b = self._pair(True)
+        b._catch_up = lambda: None  # a catch-up that registers nothing
+        sim.schedule(0.0, a.transmit, control_frame(FrameType.RTS, 0, 1, timestamp=0.0))
+        sim.run(until=5.0)
+        b.settle()
+        violations = b.audit_arrivals()
+        assert len(violations) == 1
+        assert "never registered" in violations[0]
 
 
 # ----------------------------------------------------------------------
@@ -163,6 +281,8 @@ def _run(xs, txs, toggles, defer, fading):
     failures = []
     # Brute-force reference: every registered arrival and own transmission
     # per modem, to check the overlap flags independently of the modem.
+    # Registrations are recorded at the one registration path, which both
+    # begin events and the lazy catch-up of queued certain failures take.
     heard = {m.node_id: [] for m in modems}
     sent = {m.node_id: [] for m in modems}
     for modem in modems:
@@ -170,12 +290,11 @@ def _run(xs, txs, toggles, defer, fading):
             (i, arr.src, arr.start, arr.end, out)
         )
 
-        def begin(arrival, modem=modem, begin=modem.begin_arrival):
-            if modem.enabled and modem.rx_enabled:
-                heard[modem.node_id].append((arrival.start, arrival.end))
-            begin(arrival)
+        def register(arrival, heard=heard[modem.node_id], register=modem._register):
+            heard.append((arrival.start, arrival.end))
+            register(arrival)
 
-        modem.begin_arrival = begin
+        modem._register = register
 
     def send(modem, size_bits):
         if modem.enabled and not modem.transmitting:
@@ -207,6 +326,10 @@ def _run(xs, txs, toggles, defer, fading):
 
 
 @given(xs=xs_st, txs=tx_st, toggles=toggle_st, fading=st.booleans())
+@example(xs=[1586.0, 1593.0, 0.0], txs=[(0.0, 0, 64), (0.0, 1, 64)], toggles=[],
+         fading=False)
+@example(xs=[0.0, 0.0, 1593.0], txs=[(0.0, 0, 64), (0.0, 1, 64)], toggles=[],
+         fading=False)
 @settings(max_examples=120, deadline=None)
 def test_deferred_settlement_matches_full_decode(xs, txs, toggles, fading):
     stats_on, failures_on, events_on = _run(xs, txs, toggles, True, fading)

@@ -2,7 +2,7 @@
 
 Complements ``test_modem_channel.py``: exact interval boundaries (a TX
 that *touches* an arrival without overlapping must not kill it), the
-TX/RX outage flags used by fault injection, and the interval pruning that
+TX/RX outage flags used by fault injection, and the arrival pruning that
 keeps the overlap scans cheap.
 """
 
@@ -149,16 +149,20 @@ class TestOutageFlags:
 
 
 class TestPruning:
-    def test_stale_tx_intervals_are_pruned(self):
+    def test_overlap_with_a_long_finished_tx_is_half_duplex(self):
         sim = Simulator()
         channel, a, b = build_pair(sim)
-        for t in (0.0, 10.0, 20.0):
-            sim.schedule(t, a.transmit, control_frame(FrameType.RTS, 0, 1, timestamp=0.0))
+        outcomes = []
+        b.on_receive = lambda f, arr: outcomes.append(RxOutcome.OK)
+        b.on_rx_failure = lambda arr, out: outcomes.append(out)
+        # a's long frame is on air at b over [1.0, 1.0 + 40960/12000); b's
+        # own RTS at 1.1 ends more than 3 s before that frame decodes, and
+        # still kills it.  A later frame, clear of every TX, decodes.
+        sim.schedule(0.0, a.transmit, data_frame(0, 1, 0.0, size_bits=40960))
+        sim.schedule(1.1, b.transmit, control_frame(FrameType.RTS, 1, 0, timestamp=1.1))
+        sim.schedule(10.0, a.transmit, data_frame(0, 1, 10.0, size_bits=2048))
         sim.run()
-        # Each new TX prunes intervals past the retention horizon
-        # (now - longest duration seen), so only the latest survives.
-        assert len(a._tx_intervals) == 1
-        assert a._tx_intervals[0].start == pytest.approx(20.0)
+        assert outcomes == [RxOutcome.HALF_DUPLEX, RxOutcome.OK]
 
     def test_stale_arrivals_are_pruned_after_decode(self):
         sim = Simulator()
